@@ -49,14 +49,7 @@ InferenceResult::totals() const
 namespace
 {
 
-// ----------------------------------------------------------------
-// SHIFT replay memoization: the replay walks every im2col element, so
-// sensitivity sweeps reuse results across schemes and batch settings.
-// Sharded-mutex caches are shared by all evaluation workers (parallel
-// sweeps and runBatch hit them concurrently).
-// ----------------------------------------------------------------
-
-/** Every layer-shape field the demand/replay/schedule models read. */
+/** Every layer-shape field the demand and schedule models read. */
 std::string
 layerKey(const systolic::ConvLayer &layer)
 {
@@ -67,8 +60,6 @@ layerKey(const systolic::ConvLayer &layer)
         << 'd' << layer.depthwise;
     return key.str();
 }
-
-ShardedCache<systolic::ShiftReplayResult> replay_cache;
 
 // ----------------------------------------------------------------
 // RANDOM array timing, normalized to accelerator cycles.
@@ -257,12 +248,6 @@ weightDram(const AcceleratorConfig &cfg,
 } // namespace
 
 void
-clearReplayCache()
-{
-    replay_cache.clear();
-}
-
-void
 clearIlpCache()
 {
     ilp_cache.clear();
@@ -403,9 +388,6 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
       case Scheme::Smart: {
         const RandomTiming rt =
             randomTiming(cfg, cfg.randomArray, cfg.randomTech);
-        const double pixel_folds =
-            static_cast<double>(m.ofmapPixels) * m.folds() * B;
-
         // The compiler (SMART / the "+p" heuristic) restructures input
         // fetches into memory objects staged through the SHIFT arrays
         // and prefetched ahead of each iteration; without it (Heter,
@@ -469,7 +451,6 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         const double compute_c =
             static_cast<double>(r.computeCycles);
         const double jit_c = compute_c + jit_tp + jit_lat;
-        (void)pixel_folds;
 
         const double staged_c =
             std::max({stream_c, stage_c, compute_c}) +

@@ -121,9 +121,6 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
                      const systolic::ConvLayer &layer, int batch,
                      SchedMode mode);
 
-/** Clear the internal SHIFT-replay memo cache (tests). */
-void clearReplayCache();
-
 /** Clear the internal ILP-schedule memo cache (tests). */
 void clearIlpCache();
 

@@ -177,6 +177,13 @@ ServiceMetrics::rollbackAdmittedToHopeless()
 }
 
 void
+ServiceMetrics::recordRejected()
+{
+    LockGuard lock(mu_);
+    ++rejected_;
+}
+
+void
 ServiceMetrics::recordRejectedHopeless()
 {
     LockGuard lock(mu_);

@@ -218,6 +218,8 @@ class ServiceMetrics
      * that was optimistically counted admitted before it blocked.
      */
     void rollbackAdmittedToHopeless();
+    /** Count a rejection decided before the queue (RejectedInvalid). */
+    void recordRejected();
     /** Count an SLO-aware (hopeless) rejection at submit time. */
     void recordRejectedHopeless();
     void recordShed();

@@ -160,7 +160,13 @@ enum class Admission
      * admitted(); the future resolves normally with
      * EvalResponse::degraded set.
      */
-    ServedDegraded
+    ServedDegraded,
+    /**
+     * The request cannot be evaluated at all (batch < 1, a malformed
+     * layer, an empty PE array): refused before it reaches a model
+     * that would assert on it. See serve/admission.hh invalidReason.
+     */
+    RejectedInvalid
 };
 
 /** Admission name for logs and tables. */
@@ -180,6 +186,8 @@ admissionName(Admission a)
         return "rejected-hopeless";
       case Admission::ServedDegraded:
         return "served-degraded";
+      case Admission::RejectedInvalid:
+        return "rejected-invalid";
     }
     return "?";
 }

@@ -165,7 +165,7 @@ EvalService::metrics() const
     {
         LockGuard lock(sloMu_);
         for (auto &t : s.tenantSlo) {
-            t.sloP95Ms = sloFor(t.tag).p95Ms;
+            t.sloP95Ms = tenantPolicy(cfg_, t.tag).p95Ms;
             auto it = tenantViolatedWindows_.find(t.tag);
             if (it != tenantViolatedWindows_.end())
                 t.violatedWindows = it->second;
@@ -177,7 +177,7 @@ EvalService::metrics() const
             if (!present) {
                 MetricsSnapshot::TenantSloStat ts;
                 ts.tag = tag;
-                ts.sloP95Ms = sloFor(tag).p95Ms;
+                ts.sloP95Ms = tenantPolicy(cfg_, tag).p95Ms;
                 ts.violatedWindows = violated;
                 s.tenantSlo.push_back(std::move(ts));
             }
@@ -219,98 +219,6 @@ EvalService::dumpIncidents() const
     return TraceRecorder::global().incidentsJson();
 }
 
-EvalService::SloView
-EvalService::sloFor(const std::string &tag) const
-{
-    SloView v;
-    v.p95Ms = std::max(0.0, cfg_.sloP95Ms);
-    v.factor = cfg_.sloAdmissionFactor; // normalized() clamped >= 0
-    v.maxQualityMs = std::max(0.0, cfg_.maxQualityMs);
-    auto it = cfg_.tenantSlo.find(tag);
-    if (it == cfg_.tenantSlo.end())
-        return v;
-    const TenantSlo &t = it->second;
-    if (t.p95Ms != 0.0) // > 0 overrides; < 0 opts out entirely
-        v.p95Ms = std::max(0.0, t.p95Ms);
-    if (t.admissionFactor >= 0.0) // < 0 inherits; 0 disables
-        v.factor = t.admissionFactor;
-    if (t.maxQualityMs != 0.0) // > 0 overrides; < 0 opts out
-        v.maxQualityMs = std::max(0.0, t.maxQualityMs);
-    v.defaultDeadlineMs = t.defaultDeadlineMs;
-    return v;
-}
-
-double
-EvalService::tightenedFactor(const std::string &shapeKey,
-                             double factor) const
-{
-    if (factor <= 0.0)
-        return factor;
-    const auto [lo, hi] = estimator_.estimateInterval(shapeKey);
-    const double halfWidth = (hi - lo) / 2.0;
-    const double meanMs = estimator_.estimateServiceMs(shapeKey);
-    if (halfWidth <= 0.0 || meanMs <= 0.0)
-        return factor;
-    // Relative uncertainty, capped at 1: a 2-sigma half-width as
-    // large as the mean itself (or larger) halves the factor.
-    return factor / (1.0 + std::min(1.0, halfWidth / meanMs));
-}
-
-bool
-EvalService::hopeless(const std::string &shapeKey, double deadlineMs,
-                      std::size_t queueDepth, const SloView &slo) const
-{
-    if (slo.factor <= 0.0)
-        return false;
-    const bool hasDeadline = deadlineMs > 0.0;
-    if (!hasDeadline && slo.p95Ms <= 0.0)
-        return false; // no budget to miss
-    const double factor = tightenedFactor(shapeKey, slo.factor);
-    const double waitMs = estimator_.estimateQueueWaitMs(queueDepth);
-    if (hasDeadline && waitMs > factor * deadlineMs)
-        return true; // queue deadlines bound waiting, not service
-    if (slo.p95Ms > 0.0) {
-        const double serviceMs = estimator_.estimateServiceMs(shapeKey);
-        if (waitMs + serviceMs > factor * slo.p95Ms)
-            return true;
-    }
-    return false;
-}
-
-bool
-EvalService::hopelessWhenDegraded(const std::string &shapeKey,
-                                  double deadlineMs,
-                                  std::size_t queueDepth,
-                                  const SloView &slo) const
-{
-    if (slo.factor <= 0.0)
-        return false;
-    const bool hasDeadline = deadlineMs > 0.0;
-    if (!hasDeadline && slo.p95Ms <= 0.0)
-        return false; // no budget to miss
-    // Confidence-tightened like hopeless(), but against the greedy
-    // twin's own interval — the degraded path's volatility is its own.
-    const double factor =
-        tightenedFactor(shapeKey + "|greedy", slo.factor);
-    const double waitMs = estimator_.estimateQueueWaitMs(queueDepth);
-    // Degrading cannot make the queue ahead drain faster: a request
-    // doomed by waiting alone is doomed on either path.
-    if (hasDeadline && waitMs > factor * deadlineMs)
-        return true;
-    if (slo.p95Ms > 0.0) {
-        // Greedy-path service estimate: the shape's own "|greedy"
-        // EWMA, optimistically 0 when untracked (see
-        // CostEstimator::shapeEstimateMs) — a cold degraded path is
-        // given the benefit of the doubt rather than inheriting the
-        // ILP-dominated global average it exists to undercut.
-        const double serviceMs =
-            estimator_.shapeEstimateMs(shapeKey + "|greedy");
-        if (waitMs + serviceMs > factor * slo.p95Ms)
-            return true;
-    }
-    return false;
-}
-
 Submission
 EvalService::submit(EvalRequest req)
 {
@@ -327,122 +235,63 @@ EvalService::submit(EvalRequest req)
     const std::string traceTag = traceId ? req.tag : std::string();
     ScopedSpan submitSpan(traceId, "submit");
 
-    // SLO-aware admission, judged against the submitting tenant's
-    // resolved SLO policy (sloFor: per-tag table entry, global knobs
-    // as fallback): refuse work the estimator predicts cannot meet
-    // its deadline/SLO even if admitted right now — before the
-    // request costs a queue slot, a drain slot, or (under Block) a
-    // blocked submitter. Decided from cheap O(1) reads (queue depth,
-    // EWMAs, the coarse shape key); the expensive canonical key is
-    // still only computed at dispatch. A closed service reports
-    // RejectedClosed, never RejectedHopeless — shutdown must stay
-    // distinguishable from load rejection (clients back off
-    // differently) — hence the closed() guard. The depth is sampled
-    // once, so the deadline assignment, the hopeless verdict, and the
-    // probe decision below are all judged against the same queue
-    // state.
+    // Admission (serve/admission.hh): one pure decide() from cheap
+    // reads, before the request costs a queue slot, a drain slot, or
+    // a blocked submitter; the canonical key waits for dispatch. A
+    // closed service skips it and reports RejectedClosed, never
+    // RejectedHopeless: clients back off differently from shutdown.
+    // The depth is sampled once, so the verdict and the probe decision
+    // below judge the same queue state.
     const std::uint64_t estimateBegin =
         traceId ? TraceRecorder::nowNs() : 0;
-    const SloView slo = sloFor(req.tag);
-    // Resolved quality budget (graceful degradation, policy Auto):
-    // the request's own maxQualityMs when positive, none when
-    // negative, else the tenant/global budget from the SLO table.
-    const double qualityBudget =
-        req.maxQualityMs > 0.0
-            ? req.maxQualityMs
-            : (req.maxQualityMs < 0.0 ? 0.0 : slo.maxQualityMs);
-    // The coarse shape key feeds the hopeless gate, the deadline
-    // suggestion, the deadline default, and the quality-budget gate;
-    // compute it once, and only when some SLO machinery can actually
-    // consume it — a service with no SLO, no deadline, and no tenant
-    // default keeps the zero-allocation submit path. (It is the cheap
-    // key either way — the expensive canonical requestKey still waits
-    // for dispatch.)
-    const bool needShapeKey =
-        slo.defaultDeadlineMs != 0.0 ||
-        (slo.factor > 0.0 &&
-         (slo.p95Ms > 0.0 || req.deadlineMs > 0.0)) ||
-        (cfg_.degradePolicy == DegradePolicy::Auto &&
-         qualityBudget > 0.0);
+    const TenantPolicy policy = tenantPolicy(cfg_, req.tag);
+    // The shape key is computed only when some estimator-driven rule
+    // can consume it, so a service with no SLO, no deadline and no
+    // tenant default keeps the zero-allocation submit path.
     const std::string shapeKey =
-        needShapeKey ? accel::requestShapeKey(req.model, req.batch)
-                     : std::string();
+        policy.defaultDeadlineMs != 0.0 ||
+                estimatorGated(policy, req.deadlineMs, req.maxQualityMs)
+            ? accel::requestShapeKey(req.model, req.batch)
+            : std::string();
     const std::size_t depthNow = queue_.depth();
-    const bool isClosed = queue_.closed();
-
-    // Estimator-driven deadline assignment: a request submitted
-    // without a deadline inherits its tenant's default — fixed, or
-    // derived from the cost estimator's current prediction (see
-    // TenantSlo::defaultDeadlineMs). Assigned before the hopeless
-    // gate, so an inherited deadline is enforced exactly like a
-    // client-provided one.
-    if (!isClosed && req.deadlineMs <= 0.0 &&
-        slo.defaultDeadlineMs != 0.0) {
-        req.deadlineMs = slo.defaultDeadlineMs > 0.0
-                             ? slo.defaultDeadlineMs
-                             : estimator_.suggestDeadlineMs(
-                                   shapeKey, depthNow, slo.factor);
-    }
-
-    // A hopeless rejection always carries the deadline a resubmission
-    // could meet (see Submission::suggestedDeadlineMs) instead of
-    // leaving the client to blind-retry; shared by the submit-time
-    // gate and the Block post-wait re-check below.
-    auto hopelessRejection = [&](std::size_t depth) {
-        Submission rejected{Admission::RejectedHopeless,
-                            std::future<EvalResponse>()};
-        rejected.suggestedDeadlineMs =
-            estimator_.suggestDeadlineMs(shapeKey, depth, slo.factor);
-        if (traceId) {
-            auto &rec = TraceRecorder::global();
-            rec.instant(traceId, "admission",
-                        static_cast<std::int64_t>(
-                            Admission::RejectedHopeless),
-                        "verdict");
-            rec.recordIncident(traceId, "rejected_hopeless", 0,
-                               traceTag);
-        }
-        return rejected;
-    };
-
-    // Graceful degradation decision (see DegradePolicy): Force routes
-    // every request through the greedy scheduler; Auto degrades one
-    // whose predicted ILP-path service time exceeds its resolved
-    // quality budget. Decided before the hopeless gate so the gate
-    // judges the path the request will actually take.
-    bool degrade = false;
-    if (!isClosed && cfg_.degradePolicy != DegradePolicy::Off) {
-        if (cfg_.degradePolicy == DegradePolicy::Force)
-            degrade = true;
-        else if (qualityBudget > 0.0 &&
-                 estimator_.estimateServiceMs(shapeKey) > qualityBudget)
-            degrade = true;
-    }
-
-    bool doomed =
-        !isClosed &&
-        (degrade ? hopelessWhenDegraded(shapeKey, req.deadlineMs,
-                                        depthNow, slo)
-                 : hopeless(shapeKey, req.deadlineMs, depthNow, slo));
-    // Anytime-scheduling rescue: a request the ILP path cannot serve
-    // in time is re-routed through the greedy path instead of being
-    // turned away, when that path is predicted to make the budget
-    // (degradePolicy Auto; Off keeps the strict reject behavior).
-    if (doomed && !degrade &&
-        cfg_.degradePolicy == DegradePolicy::Auto &&
-        !hopelessWhenDegraded(shapeKey, req.deadlineMs, depthNow,
-                              slo)) {
-        degrade = true;
-        doomed = false;
-    }
-    // The estimate/admission-decision region: tenant policy resolve,
-    // deadline assignment, degrade decision, hopeless gate.
+    Decision d;
+    d.deadlineMs = req.deadlineMs;
+    if (!queue_.closed())
+        d = decide({req, shapeKey, req.deadlineMs, false},
+                   {estimator_, depthNow}, policy);
+    req.deadlineMs = d.deadlineMs;
     if (traceId)
         TraceRecorder::global().endSpan(traceId, "estimate",
                                         estimateBegin,
                                         static_cast<std::int64_t>(depthNow),
                                         "queue_depth");
-    if (doomed) {
+
+    // Every rejection leaves here. A hopeless one carries the deadline
+    // a resubmission could meet behind @p depth queued requests (see
+    // Submission::suggestedDeadlineMs) instead of leaving the client
+    // to blind-retry.
+    auto rejected = [&](Admission a, std::size_t depth) {
+        Submission sub{a, std::future<EvalResponse>()};
+        const bool hopeless = a == Admission::RejectedHopeless;
+        if (hopeless)
+            sub.suggestedDeadlineMs = estimator_.suggestDeadlineMs(
+                shapeKey, depth, policy.factor);
+        if (traceId) {
+            auto &rec = TraceRecorder::global();
+            rec.instant(traceId, "admission",
+                        static_cast<std::int64_t>(a), "verdict");
+            if (hopeless)
+                rec.recordIncident(traceId, "rejected_hopeless", 0,
+                                   traceTag);
+        }
+        return sub;
+    };
+
+    if (d.admission == Admission::RejectedInvalid) {
+        metrics_.recordRejected();
+        return rejected(d.admission, depthNow);
+    }
+    if (d.admission == Admission::RejectedHopeless) {
         // Probe admission (see kHopelessProbeInterval): the streak
         // only advances — and a probe only fires — when the queue is
         // idle, so burst rejections under load stay rejections.
@@ -456,12 +305,10 @@ EvalService::submit(EvalRequest req)
                 kHopelessProbeInterval;
         if (!probe) {
             metrics_.recordRejectedHopeless();
-            return hopelessRejection(depthNow);
+            return rejected(d.admission, depthNow);
         }
-        hopelessStreak_.store(0, std::memory_order_relaxed);
-    } else {
-        hopelessStreak_.store(0, std::memory_order_relaxed);
     }
+    hopelessStreak_.store(0, std::memory_order_relaxed);
 
     Pending p;
     p.submitTime = Clock::now();
@@ -475,7 +322,7 @@ EvalService::submit(EvalRequest req)
     // memory_order: relaxed — seq_ only needs uniqueness/monotonicity
     // of the returned values, not ordering of surrounding memory.
     p.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    p.degrade = degrade;
+    p.degrade = d.path == Path::Greedy;
     p.traceId = traceId;
     // The canonical key is deliberately NOT computed here: it is the
     // expensive part of submission and only dispatch needs it, so a
@@ -492,98 +339,60 @@ EvalService::submit(EvalRequest req)
         LockGuard lock(drainMu_);
         ++unresolved_;
     }
-    // Under Block, the hopeless verdict above was judged against the
-    // queue as it stood before any wait; if the push actually blocks,
-    // the queue re-judges the request against the state it wakes to —
-    // fresh depth, fresh EWMAs, and crucially the REMAINING deadline
-    // budget (the time spent blocked already burned part of it; a
-    // request whose deadline passed while it slept is refused here
-    // instead of occupying a slot just to expire). The callback runs
-    // under the queue lock and only reads leaf-locked estimator
-    // state. It is built only under the Block policy — the only
-    // policy that can wait — and only when there is a budget the
-    // re-check could find missed: a p95 target, or an (possibly
-    // tenant-default-assigned) deadline. A tenant that opted out of
-    // hopeless rejection (slo.factor == 0) skips it like every other
-    // hopeless gate, and the common Reject/Shed submit path stays
-    // free of the std::function allocation entirely.
-    RequestQueue::DoomedAfterWait doomedAfterWait;
-    const bool wantHopelessRecheck =
-        slo.factor > 0.0 &&
-        (slo.p95Ms > 0.0 || p.deadline != Clock::time_point::max());
-    const bool wantQualityRecheck =
-        cfg_.degradePolicy == DegradePolicy::Auto && qualityBudget > 0.0;
+    // Under Block, a push that actually waited is re-judged by the
+    // same decide() against the state it wakes to: fresh depth and
+    // EWMAs, and the budget LEFT. An expired deadline is refused
+    // outright; the p95 budget, end to end from submit, loses the
+    // time spent blocked (over factor, as doomed() scales by it), and
+    // a budget burned while blocked is refused too — degrading cannot
+    // refund wall time. The tenant default deadline was applied at
+    // submit, and alreadyDegraded keeps a greedy request from being
+    // degraded twice. The callback runs under the queue lock, reads
+    // only leaf-locked estimator state, and is built only when it can
+    // matter, sparing the common path the std::function allocation.
+    RequestQueue::DoomedAfterWait rejudge;
     if (cfg_.queue.policy == AdmissionPolicy::Block &&
-        (wantHopelessRecheck || wantQualityRecheck)) {
-        doomedAfterWait =
-            [this, slo, shapeKey, qualityBudget, wantHopelessRecheck](
-                const Pending &pending,
-                std::size_t depth) -> RequestQueue::WaitVerdict {
+        estimatorGated(policy, p.req.deadlineMs, p.req.maxQualityMs)) {
+        rejudge = [this, policy, shapeKey](
+                      const Pending &pending,
+                      std::size_t depth) -> RequestQueue::WaitVerdict {
             using Verdict = RequestQueue::WaitVerdict;
             const auto now = Clock::now();
             double leftMs = 0.0; // no deadline
             if (pending.deadline != Clock::time_point::max()) {
                 leftMs = msBetween(now, pending.deadline);
                 if (leftMs <= 0.0)
-                    return Verdict::Reject; // expired while blocked
+                    return Verdict::Reject;
             }
-            // The p95 budget is end-to-end from submit, so the time
-            // already spent blocked has been spent from it too:
-            // doomed when elapsed + wait + service > factor * p95,
-            // expressed by shrinking the budget handed to the gate
-            // (elapsed / factor, since the gate scales the budget by
-            // factor). A budget fully burned while blocked is doomed
-            // outright — degrading cannot refund spent wall time.
-            SloView left = slo;
+            TenantPolicy left = policy;
+            left.defaultDeadlineMs = 0.0;
             if (left.p95Ms > 0.0 && left.factor > 0.0) {
                 left.p95Ms -=
                     msBetween(pending.submitTime, now) / left.factor;
                 if (left.p95Ms <= 0.0)
                     return Verdict::Reject;
             }
-            // A request already on the greedy path is never degraded
-            // again — the re-judge either confirms it or refuses it.
-            const bool canDegrade =
-                cfg_.degradePolicy == DegradePolicy::Auto &&
-                !pending.degrade;
-            if (wantHopelessRecheck) {
-                const bool stillDoomed =
-                    pending.degrade
-                        ? hopelessWhenDegraded(shapeKey, leftMs, depth,
-                                               left)
-                        : hopeless(shapeKey, leftMs, depth, left);
-                if (stillDoomed) {
-                    if (canDegrade &&
-                        !hopelessWhenDegraded(shapeKey, leftMs, depth,
-                                              left))
-                        return Verdict::Degrade;
-                    return Verdict::Reject;
-                }
-            }
-            // Quality-budget re-judge: the estimates moved while the
-            // submitter slept; a request now predicted past its
-            // quality budget joins the greedy path instead of
-            // blocking on toward a budget it will miss.
-            if (canDegrade && qualityBudget > 0.0 &&
-                estimator_.estimateServiceMs(shapeKey) > qualityBudget)
+            const Decision again =
+                decide({pending.req, shapeKey, leftMs, pending.degrade},
+                       {estimator_, depth}, left);
+            switch (again.admission) {
+              case Admission::Admitted:
+                return Verdict::Admit;
+              case Admission::ServedDegraded:
                 return Verdict::Degrade;
-            return Verdict::Admit;
+              default:
+                return Verdict::Reject;
+            }
         };
     }
-    auto pushed = queue_.push(std::move(p), doomedAfterWait);
+    auto pushed = queue_.push(std::move(p), rejudge);
     if (pushed.admission != Admission::Admitted) {
-        if (pushed.admission == Admission::RejectedHopeless) {
+        if (pushed.admission == Admission::RejectedHopeless)
             metrics_.rollbackAdmittedToHopeless();
-            releaseDrainSlot();
-            return hopelessRejection(queue_.depth());
-        }
-        metrics_.rollbackAdmittedToRejected();
+        else
+            metrics_.rollbackAdmittedToRejected();
         releaseDrainSlot();
-        if (traceId)
-            TraceRecorder::global().instant(
-                traceId, "admission",
-                static_cast<std::int64_t>(pushed.admission), "verdict");
-        return {pushed.admission, std::future<EvalResponse>()};
+        return rejected(pushed.admission, queue_.depth());
     }
     if (pushed.shed)
         finish(std::move(*pushed.shed), ResponseStatus::Shed);
@@ -751,7 +560,7 @@ EvalService::adaptWaveLimit()
         const bool pooled = tag.empty();
         if (!pooled && xs.size() < minGroup)
             continue; // too few samples for a stable verdict
-        const double slo = sloFor(tag).p95Ms;
+        const double slo = tenantPolicy(cfg_, tag).p95Ms;
         if (slo <= 0.0)
             continue; // no target for this tenant: no verdict
         const double p95 = p95Of(xs);

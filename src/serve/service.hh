@@ -13,16 +13,17 @@
  *    policies (serve/queue.hh). Rejections are reported synchronously
  *    from submit(); shed and expired requests resolve their futures
  *    with the corresponding status — nothing is silently dropped.
- *    SLO-aware admission (serve/estimator.hh) additionally refuses a
- *    request up front (RejectedHopeless) when the predicted queue
- *    wait + service time already exceeds its deadline or its
- *    tenant's p95 SLO (ServiceConfig::tenantSlo, global knobs as
- *    fallback): doomed work is turned away in microseconds instead
- *    of occupying a queue slot and failing slowly. A hopeless
- *    rejection carries Submission::suggestedDeadlineMs — the budget
- *    the estimator predicts a resubmission could meet — and requests
- *    submitted without a deadline inherit their tenant's (optionally
- *    estimator-derived) default.
+ *    Before the queue, one pure decide() (serve/admission.hh) refuses
+ *    a malformed request (RejectedInvalid), picks the ILP or greedy
+ *    path, and refuses a request the cost estimator
+ *    (serve/estimator.hh) predicts cannot meet its deadline or its
+ *    tenant's p95 SLO (RejectedHopeless): doomed work is turned away
+ *    in microseconds instead of occupying a queue slot and failing
+ *    slowly. submit() is plumbing around that call, and a Block
+ *    submitter that actually waited is re-judged by the same decide()
+ *    against the budget left. A hopeless rejection carries
+ *    Submission::suggestedDeadlineMs — the budget the estimator
+ *    predicts a resubmission could meet.
  *  - Result caching: a sharded cache keyed on the canonical
  *    accel::requestKey, so repeated sweep points (figure grids, DSE
  *    re-runs) are served without re-evaluation. Identical requests in
@@ -54,6 +55,7 @@
 #include "common/diskcache.hh"
 #include "common/parallel.hh"
 #include "common/threadsafety.hh"
+#include "serve/admission.hh"
 #include "serve/estimator.hh"
 #include "serve/metrics.hh"
 #include "serve/queue.hh"
@@ -61,86 +63,6 @@
 
 namespace smart::serve
 {
-
-/**
- * One tenant's SLO policy (ServiceConfig::tenantSlo, keyed on the
- * request tag). Every field falls back to the corresponding global
- * knob, so a table entry only overrides what it sets — the global
- * sloP95Ms / sloAdmissionFactor remain the policy for tenants (and
- * untagged traffic) without an entry.
- */
-struct TenantSlo
-{
-    /**
-     * This tenant's p95 end-to-end latency target (ms): drives both
-     * SLO-aware admission and the adaptive wave sizing for requests
-     * carrying this tag. 0 inherits the global sloP95Ms; a negative
-     * value opts the tenant out of any p95 SLO entirely (a lax batch
-     * tenant under a strict global default).
-     */
-    double p95Ms = 0.0;
-    /**
-     * Admission headroom for this tenant (see sloAdmissionFactor).
-     * Negative inherits the global factor; 0 disables hopeless
-     * rejection for this tenant only.
-     */
-    double admissionFactor = -1.0;
-    /**
-     * Deadline assigned to this tenant's requests submitted without
-     * one. 0 assigns none (the global behavior); a positive value is
-     * a fixed queue-time budget in ms; a negative value derives the
-     * deadline from the cost estimator at submit time — the same
-     * wait-plus-service-over-factor formula as
-     * Submission::suggestedDeadlineMs — so an interactive tenant's
-     * requests expire promptly once the queue outgrows what the
-     * estimator believes they can survive, instead of languishing.
-     * (An estimator-derived deadline tracks load: while the estimator
-     * is cold no deadline is assigned.)
-     */
-    double defaultDeadlineMs = 0.0;
-    /**
-     * Quality budget (ms) for this tenant's requests that don't carry
-     * their own EvalRequest::maxQualityMs: under degradePolicy Auto,
-     * a request whose predicted ILP-path service time exceeds the
-     * budget is routed through the greedy scheduler instead. 0
-     * inherits the global ServiceConfig::maxQualityMs; negative opts
-     * this tenant out of budget-driven degradation.
-     */
-    double maxQualityMs = 0.0;
-};
-
-/**
- * When the service may serve a request through the greedy (anytime)
- * scheduler instead of the ILP. See ServiceConfig::degradePolicy.
- */
-enum class DegradePolicy
-{
-    Off,  //!< Never degrade; hopeless requests are rejected.
-    /**
-     * Degrade instead of rejecting: a request the estimator would
-     * refuse as hopeless (or whose predicted ILP service time blows
-     * its quality budget) is served greedy when the estimator
-     * predicts the greedy path CAN meet the budget — otherwise it is
-     * still rejected (degrading cannot fix a hopeless queue wait).
-     */
-    Auto,
-    Force //!< Every request is served greedy (load-shedding mode).
-};
-
-/** DegradePolicy name for logs and tables. */
-inline const char *
-degradePolicyName(DegradePolicy p)
-{
-    switch (p) {
-      case DegradePolicy::Off:
-        return "off";
-      case DegradePolicy::Auto:
-        return "auto";
-      case DegradePolicy::Force:
-        return "force";
-    }
-    return "?";
-}
 
 /** Service shape: queue bounds, wave policy, SLO, cache policy. */
 struct ServiceConfig
@@ -170,39 +92,25 @@ struct ServiceConfig
     /** Completions per adaptation decision when sloP95Ms > 0. */
     std::size_t sloWindow = 32;
     /**
-     * SLO-aware admission headroom: a submission is refused with
-     * RejectedHopeless when the cost estimator's predicted queue wait
-     * exceeds sloAdmissionFactor * deadlineMs (queue deadlines bound
-     * waiting only), or predicted wait + service time exceeds
-     * sloAdmissionFactor * sloP95Ms. 1.0 rejects exactly at the
-     * predicted budget; values < 1 reject earlier, buying headroom
-     * for estimation error. Both knobs here are the defaults a
-     * tenantSlo entry may override per tag, so the two guarantees
-     * that follow hold for tenants WITHOUT an override: 0 disables
-     * hopeless rejection entirely, and requests with no deadline
-     * under sloP95Ms == 0 are never rejected as hopeless. Nothing is
-     * rejected while the estimator is cold (no completed evaluation
-     * yet), for any tenant. Rejected
-     * requests yield no samples, so an idle service admits every 8th
-     * consecutive hopeless rejection as a probe — a stuck-high
-     * estimate re-measures and admission self-heals instead of
-     * locking a shape out forever. The prediction
-     * assumes a cache miss: a would-be cache hit arriving behind a
-     * hopeless queue is rejected too — the conservative trade-off for
-     * keeping submit() free of the expensive canonical-key hash.
+     * SLO-aware admission headroom (see serve/admission.hh doomed()):
+     * a submission is RejectedHopeless when the estimator's predicted
+     * queue wait exceeds factor * deadlineMs, or predicted wait +
+     * service exceeds factor * sloP95Ms. 1.0 rejects exactly at the
+     * predicted budget, < 1 earlier; 0 disables hopeless rejection
+     * for tenants without an override. Nothing is rejected while the
+     * estimator is cold. An idle service admits every 8th consecutive
+     * hopeless rejection as a probe, so a stuck-high estimate
+     * re-measures instead of locking a shape out. The prediction
+     * assumes a cache miss, keeping submit() free of the canonical-key
+     * hash.
      */
     double sloAdmissionFactor = 1.0;
     /**
-     * Per-tenant SLO table, keyed on the request tag. Tenants (and
-     * untagged requests) without an entry use the global knobs above;
-     * an entry overrides only the fields it sets (see TenantSlo). The
-     * adaptive wave sizing then judges each window per tenant against
-     * that tenant's own target and shrinks the wave cap when ANY
-     * tenant's SLO is violated — the strictest violated tenant drives
-     * the decision — while growth requires every SLO-bearing tenant
-     * to be comfortably healthy. SLO-aware (hopeless) admission and
-     * estimator-driven deadline assignment gate each submission
-     * against the submitting tenant's entry.
+     * Per-tenant SLO table keyed on the request tag; an entry
+     * overrides only the global knobs it sets (see TenantSlo).
+     * Admission judges each submission by its tenant's entry; wave
+     * sizing shrinks the cap when ANY tenant violates its own target
+     * and grows it only when every SLO-bearing tenant is healthy.
      */
     std::map<std::string, TenantSlo> tenantSlo;
     bool cacheEnabled = true;
@@ -229,20 +137,11 @@ struct ServiceConfig
     std::size_t tenantCacheBytes = 0;
     /** Cache lock granularity; 1 gives a single exact LRU order. */
     std::size_t cacheShards = 16;
-    /**
-     * Graceful degradation policy (see DegradePolicy): Off preserves
-     * the reject-hopeless behavior, Auto converts would-be
-     * RejectedHopeless outcomes (and quality-budget overruns) into
-     * ServedDegraded greedy-scheduled evaluations, Force routes every
-     * request through the greedy path.
-     */
+    /** Graceful degradation: when a request may be served through
+     *  the greedy scheduler instead of the ILP (see DegradePolicy). */
     DegradePolicy degradePolicy = DegradePolicy::Off;
-    /**
-     * Global quality budget (ms): the default TenantSlo::maxQualityMs
-     * and EvalRequest::maxQualityMs fall back to. 0 = no budget
-     * (degradation then only triggers on hopeless-by-SLO/deadline
-     * requests under Auto).
-     */
+    /** Global quality budget (ms) that TenantSlo::maxQualityMs and
+     *  EvalRequest::maxQualityMs fall back to; 0 = none. */
     double maxQualityMs = 0.0;
     /**
      * Path of the persistent L2 schedule cache (common/diskcache.hh).
@@ -360,60 +259,6 @@ class EvalService
     void adaptWaveLimit();
     /** The linger for the current wave cap (scaled under an SLO). */
     std::chrono::milliseconds effectiveLinger() const;
-
-    /**
-     * @p tag's SLO policy with the global-knob fallbacks resolved
-     * (see TenantSlo): p95Ms and factor are directly usable (0 means
-     * none/disabled), defaultDeadlineMs keeps the table's tri-state.
-     */
-    struct SloView
-    {
-        double p95Ms = 0.0;
-        double factor = 0.0;
-        double defaultDeadlineMs = 0.0;
-        double maxQualityMs = 0.0; //!< 0 = no quality budget.
-    };
-    SloView sloFor(const std::string &tag) const;
-
-    /**
-     * Degraded-path twin of hopeless(): would this request still be
-     * hopeless if served through the greedy scheduler? Uses the
-     * greedy shape EWMA ("<shape>|greedy", optimistically 0 when
-     * untracked — see CostEstimator::shapeEstimateMs) for the service
-     * term; the queue-wait term is unchanged, because degrading a
-     * request cannot make the queue in front of it drain faster.
-     */
-    bool hopelessWhenDegraded(const std::string &shapeKey,
-                              double deadlineMs,
-                              std::size_t queueDepth,
-                              const SloView &slo) const;
-
-    /**
-     * True when the estimator predicts a request of @p shapeKey with
-     * @p deadlineMs of queue budget left (<= 0 = none) cannot meet
-     * that budget even if admitted now behind @p queueDepth queued
-     * requests, judged against @p slo — the submitting tenant's
-     * resolved policy (see ServiceConfig::sloAdmissionFactor /
-     * tenantSlo). The depth is sampled once by submit() so the
-     * verdict and the probe decision built on it agree; the
-     * Block-policy post-wait re-check passes the REMAINING deadline
-     * budget, not the original one, so time spent blocked counts
-     * against the request.
-     */
-    bool hopeless(const std::string &shapeKey, double deadlineMs,
-                  std::size_t queueDepth, const SloView &slo) const;
-
-    /**
-     * Estimator-confidence tightening of an admission factor: when
-     * the service-time estimate for @p shapeKey carries a wide
-     * EWMA-variance interval (volatile predictions — see
-     * CostEstimator::estimateInterval), the effective factor shrinks
-     * by up to half, so admission under an unreliable estimate buys
-     * extra headroom instead of trusting the mean. A tight interval
-     * (or a cold/constant-latency estimator) leaves @p factor as is.
-     */
-    double tightenedFactor(const std::string &shapeKey,
-                           double factor) const;
 
     ServiceConfig cfg_;
     RequestQueue queue_;

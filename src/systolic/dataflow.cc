@@ -41,7 +41,7 @@ LayerMapping
 mapLayer(const ConvLayer &layer, const ArrayDims &pe)
 {
     layer.check();
-    smart_assert(pe.rows > 0 && pe.cols > 0, "bad PE array dims");
+    smart_assert(pe.valid(), "bad PE array dims");
 
     LayerMapping m;
     m.pe = pe;

@@ -32,6 +32,9 @@ struct ArrayDims
     {
         return static_cast<std::uint64_t>(rows) * cols;
     }
+
+    /** Both dimensions positive. */
+    bool valid() const { return rows > 0 && cols > 0; }
 };
 
 /** Mapping of one layer onto the PE array. */

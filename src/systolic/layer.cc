@@ -60,17 +60,32 @@ ConvLayer::ofmapBytes() const
     return ofmapPixels() * channels;
 }
 
+const char *
+ConvLayer::invalidReason() const
+{
+    if (ifmapH <= 0 || ifmapW <= 0)
+        return "bad ifmap dims";
+    if (inChannels <= 0)
+        return "bad channel count";
+    if (kernelH <= 0 || kernelW <= 0)
+        return "bad kernel";
+    if (stride <= 0)
+        return "bad stride";
+    if (pad < 0)
+        return "bad padding";
+    if (!depthwise && filters <= 0)
+        return "bad filter count";
+    // 64-bit sums: the dims may come from a client request.
+    if (ifmapH + 2LL * pad < kernelH || ifmapW + 2LL * pad < kernelW)
+        return "kernel does not fit the padded ifmap";
+    return nullptr;
+}
+
 void
 ConvLayer::check() const
 {
-    smart_assert(ifmapH > 0 && ifmapW > 0, name, ": bad ifmap dims");
-    smart_assert(inChannels > 0, name, ": bad channel count");
-    smart_assert(kernelH > 0 && kernelW > 0, name, ": bad kernel");
-    smart_assert(stride > 0, name, ": bad stride");
-    smart_assert(pad >= 0, name, ": bad padding");
-    smart_assert(depthwise || filters > 0, name, ": bad filter count");
-    smart_assert(ofmapH() > 0 && ofmapW() > 0, name,
-                 ": kernel does not fit the padded ifmap");
+    const char *why = invalidReason();
+    smart_assert(why == nullptr, name, ": ", why);
 }
 
 ConvLayer

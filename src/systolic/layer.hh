@@ -52,6 +52,8 @@ struct ConvLayer
     /** Output feature map footprint (bytes, int8). */
     std::uint64_t ofmapBytes() const;
 
+    /** Why the layer is malformed (first failing invariant), or null. */
+    const char *invalidReason() const;
     /** Validate invariants; panics on malformed layers. */
     void check() const;
 

@@ -84,7 +84,6 @@ TEST(ParallelEquivalence, RunBatchMatchesSerialRunInference)
     }
 
     // Serial reference first, from cold caches.
-    accel::clearReplayCache();
     accel::clearIlpCache();
     std::vector<accel::InferenceResult> serial;
     for (const auto &item : items)
@@ -92,7 +91,6 @@ TEST(ParallelEquivalence, RunBatchMatchesSerialRunInference)
             accel::runInference(item.cfg, item.model, item.batch));
 
     // Parallel run, also from cold caches.
-    accel::clearReplayCache();
     accel::clearIlpCache();
     const auto parallel = accel::runBatch(items);
 
@@ -128,7 +126,6 @@ TEST(ParallelEquivalence, NestedGridRunBatchMatchesSerial)
         }
     }
 
-    accel::clearReplayCache();
     accel::clearIlpCache();
     std::vector<std::vector<accel::InferenceResult>> serial(
         cells.size());
@@ -140,7 +137,6 @@ TEST(ParallelEquivalence, NestedGridRunBatchMatchesSerial)
     for (int width : {1, 2, 4}) {
         SCOPED_TRACE("outer width " + std::to_string(width));
         TaskScheduler outer(width);
-        accel::clearReplayCache();
         accel::clearIlpCache();
         std::vector<std::vector<accel::InferenceResult>> nested(
             cells.size());
