@@ -27,7 +27,6 @@
 #include "cnn/models.hh"
 #include "common/jsonreport.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 

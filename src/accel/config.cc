@@ -44,6 +44,23 @@ AcceleratorConfig::totalSpmBytes() const
            weightSpm.capacityBytes + randomArray.capacityBytes;
 }
 
+const char *
+AcceleratorConfig::invalidReason() const
+{
+    if (inputSpm.banks <= 0 || outputSpm.banks <= 0 || weightSpm.banks <= 0)
+        return "SPM bank count must be >= 1";
+    if (hasRandomArray() && randomArray.banks <= 0)
+        return "RANDOM array bank count must be >= 1";
+    // Negated comparisons also reject NaN.
+    if (!(clockGhz.value() > 0.0))
+        return "clock must be > 0";
+    if (!(dramBandwidthGBs > 0.0))
+        return "DRAM bandwidth must be > 0";
+    if (prefetchIterations < 1)
+        return "prefetchIterations must be >= 1";
+    return nullptr;
+}
+
 AcceleratorConfig
 makeTpu()
 {

@@ -114,6 +114,11 @@ struct AcceleratorConfig
     bool hasRandomArray() const { return randomArray.capacityBytes > 0; }
     /** Total on-chip SPM capacity (bytes). */
     std::uint64_t totalSpmBytes() const;
+    /**
+     * Why runLayer cannot evaluate this configuration (a zero bank
+     * count or rate it divides by), or null.
+     */
+    const char *invalidReason() const;
 };
 
 /** Table 4 TPU configuration. */

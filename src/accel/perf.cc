@@ -4,8 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/cache.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/taskgraph.hh"
 #include "common/tracespan.hh"
 #include "compiler/greedy.hh"
@@ -153,7 +153,19 @@ struct SchedOutcome
     double gapBound = -1.0;
 };
 
-ShardedCache<SchedOutcome> ilp_cache;
+/**
+ * Entry budget of the process-global schedule memo. Every benchmark
+ * workload holds 102 entries and the largest figure bench 510, so no
+ * workload in the repository evicts; the bound only caps a long-lived
+ * process sweeping ever-new layer shapes or scheduler parameters.
+ */
+constexpr std::size_t kIlpCacheEntries = 4096;
+
+LruCache<SchedOutcome> ilp_cache([] {
+    LruCache<SchedOutcome>::Config c;
+    c.maxEntries = kIlpCacheEntries;
+    return c;
+}());
 
 SchedOutcome
 cachedScheduleOutcome(const systolic::ConvLayer &layer,

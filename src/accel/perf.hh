@@ -121,7 +121,10 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
                      const systolic::ConvLayer &layer, int batch,
                      SchedMode mode);
 
-/** Clear the internal ILP-schedule memo cache (tests). */
+/**
+ * Clear the process-global schedule memo, so the next evaluation
+ * solves every layer cold (tests, benches and perfbench call this).
+ */
 void clearIlpCache();
 
 } // namespace smart::accel

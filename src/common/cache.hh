@@ -1,29 +1,25 @@
 /**
  * @file
- * Concurrency-safe caches shared by the parallel evaluation workers:
- * a sharded-mutex memo cache (ShardedCache) and a byte-accounted
- * sharded LRU (LruCache). The execution substrate itself — the
- * work-stealing TaskScheduler, TaskGroup, and pFor — lives in
- * common/taskgraph.hh; this header retains the caches those workers
- * share.
+ * The one concurrency-safe cache shared by the evaluation workers: a
+ * byte-accounted sharded LRU with single-flight getOrCompute(). It
+ * backs both the per-layer schedule memo (accel/perf.cc) and the
+ * serving layer's result store (serve/service.cc).
  */
 
-#ifndef SMART_COMMON_PARALLEL_HH
-#define SMART_COMMON_PARALLEL_HH
+#ifndef SMART_COMMON_CACHE_HH
+#define SMART_COMMON_CACHE_HH
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/threadsafety.hh"
 
@@ -31,97 +27,9 @@ namespace smart
 {
 
 /**
- * String-keyed memo cache with sharded mutexes, shared by all
- * evaluation workers (the SHIFT-replay and layer-schedule memos).
- * Values are computed outside the shard lock, so a slow miss never
- * serializes unrelated lookups. Each key is computed exactly once: a
- * miss publishes an in-flight future under the lock, and concurrent
- * readers of the same key block on that future instead of redoing the
- * (expensive, pure) evaluation. The computing thread runs make() on
- * its own stack — never through the thread pool — so waiting cannot
- * deadlock pool workers. Unbounded: for a bounded cache with real
- * eviction (the serving layer's result store), use LruCache below.
- */
-template <typename Value>
-class ShardedCache
-{
-  public:
-    /** Return the cached value for @p key, computing it on a miss. */
-    template <typename Make>
-    Value getOrCompute(const std::string &key, Make &&make)
-    {
-        Shard &shard = shardOf(key);
-        std::promise<Value> promise;
-        std::shared_future<Value> fut;
-        bool compute = false;
-        {
-            LockGuard lock(shard.mu);
-            auto it = shard.map.find(key);
-            if (it == shard.map.end()) {
-                fut = promise.get_future().share();
-                shard.map.emplace(key, fut);
-                compute = true;
-            } else {
-                fut = it->second;
-            }
-        }
-        if (compute) {
-            try {
-                promise.set_value(make());
-            } catch (...) {
-                // Drop the failed entry so later calls retry, then
-                // deliver the error to anyone already waiting.
-                {
-                    LockGuard lock(shard.mu);
-                    shard.map.erase(key);
-                }
-                promise.set_exception(std::current_exception());
-            }
-        }
-        return fut.get();
-    }
-
-    /** Drop every entry (tests and memory pressure). */
-    void clear()
-    {
-        for (auto &shard : shards_) {
-            LockGuard lock(shard.mu);
-            shard.map.clear();
-        }
-    }
-
-    /** Total entries across shards (approximate under concurrency). */
-    std::size_t size()
-    {
-        std::size_t n = 0;
-        for (auto &shard : shards_) {
-            LockGuard lock(shard.mu);
-            n += shard.map.size();
-        }
-        return n;
-    }
-
-  private:
-    static constexpr std::size_t kShards = 16;
-
-    struct Shard
-    {
-        Mutex mu;
-        std::unordered_map<std::string, std::shared_future<Value>>
-            map SMART_GUARDED_BY(mu);
-    };
-
-    Shard &shardOf(const std::string &key)
-    {
-        return shards_[std::hash<std::string>{}(key) % kShards];
-    }
-
-    std::array<Shard, kShards> shards_;
-};
-
-/**
  * Sharded LRU cache with byte-accounted capacity — the bounded result
- * store of the serving layer. Each shard owns an intrusive
+ * store of the serving layer and, through getOrCompute(), the
+ * single-flight schedule memo. Each shard owns an intrusive
  * most-recent-first list threaded through heap-allocated nodes plus an
  * index keyed by string_views into the nodes' own key storage, so get
  * and put are O(1) and a key is stored exactly once. When an insert
@@ -248,31 +156,71 @@ class LruCache
      */
     bool get(std::string_view key, Value &out)
     {
-        std::shared_ptr<const Value> value;
+        Holder value;
         {
             Shard &shard = shardOf(key);
             LockGuard lock(shard.mu);
-            auto it = shard.index.find(key);
-            if (it == shard.index.end()) {
+            value = touch(shard, key);
+            if (!value) {
                 ++shard.misses;
                 return false;
             }
-            Node *n = it->second.get();
-            detach(shard, n);
-            pushFront(shard, n);
-            if (!n->tag.empty()) {
-                // Tag recency mirrors global recency, so the entry a
-                // tenant-budget eviction picks is the tenant's own
-                // least-recently-used, not its oldest insert.
-                TagList &tl = shard.tags[n->tag];
-                tagDetach(tl, n);
-                tagPushFront(tl, n);
-            }
             ++shard.hits;
-            value = n->value;
         }
         out = *value;
         return true;
+    }
+
+    /**
+     * Return the value for @p key, computing it with make() on a miss
+     * (single-flight): a miss publishes an in-flight future under the
+     * shard lock and concurrent callers of the key wait on it. make()
+     * runs on the caller's own stack, outside the lock and never
+     * through the task pool, so waiting cannot deadlock pool workers;
+     * its value is put() untagged, counted and evicted like any entry.
+     * If make() throws, nothing is cached, every waiter gets the
+     * exception and the next call retries. Computing counts as a miss,
+     * anything else as a hit; clear() lets in-flight calls insert.
+     */
+    template <typename Make>
+    Value getOrCompute(std::string_view key, Make &&make)
+    {
+        Shard &shard = shardOf(key);
+        Holder value;
+        std::optional<std::promise<Holder>> promise; // set: we compute
+        std::shared_future<Holder> fut;
+        {
+            LockGuard lock(shard.mu);
+            value = touch(shard, key);
+            if (value) {
+                ++shard.hits;
+            } else if (auto it = shard.inflight.find(std::string(key));
+                       it != shard.inflight.end()) {
+                ++shard.hits;
+                fut = it->second;
+            } else {
+                ++shard.misses;
+                fut = promise.emplace().get_future().share();
+                shard.inflight.emplace(std::string(key), fut);
+            }
+        }
+        if (promise) {
+            try {
+                Value made = make();
+                const std::size_t bytes = entryBytes(key, made);
+                auto holder = std::make_shared<const Value>(std::move(made));
+                insert(key, holder, bytes, std::string());
+                retire(shard, key);
+                promise->set_value(holder);
+                value = std::move(holder);
+            } catch (...) {
+                retire(shard, key);
+                promise->set_exception(std::current_exception());
+            }
+        }
+        if (!value)
+            value = fut.get(); // rethrows a failed computation
+        return *value;
     }
 
     /**
@@ -282,95 +230,23 @@ class LruCache
      * byte budget is refused up front (counted as an eviction) so it
      * cannot flush the resident working set on its way through.
      *
-     * The tagged overload additionally charges the entry to @p tag's
+     * A non-empty @p tag additionally charges the entry to its
      * budget (Config::tagBytes): a tag over budget evicts its own
      * least-recently-used entries first, before the global bound is
      * even consulted. Refreshing a key re-labels the entry with the
      * new put()'s tag (ownership follows the latest writer). An empty
      * tag means untagged — global accounting only.
      */
-    void put(std::string_view key, Value value)
-    {
-        put(key, std::move(value), std::string());
-    }
-
-    void put(std::string_view key, Value value, const std::string &tag)
+    void put(std::string_view key, Value value,
+             const std::string &tag = std::string())
     {
         // Size and wrap the value before taking the shard lock; the
         // lock only covers pointer/bookkeeping updates. Keys are
         // string_views (the serving layer passes arena-interned
         // views); the node copies the bytes it keeps.
         const std::size_t bytes = entryBytes(key, value);
-        auto holder =
-            std::make_shared<const Value>(std::move(value));
-        Shard &shard = shardOf(key);
-        LockGuard lock(shard.mu);
-        auto it = shard.index.find(key);
-        // The tenant budget only constrains tags that are actually
-        // tracked: when every tag slot holds live entries, an entry
-        // with a fresh tag is cached untagged, so there is no
-        // per-tag slice for it to be oversized for.
-        const bool tracked = trackTag(shard, tag);
-        const std::size_t tagCap = tracked ? shardTagBytes_ : 0;
-        if ((shardMaxBytes_ && bytes > shardMaxBytes_) ||
-            (tagCap && bytes > tagCap)) {
-            // Oversized for the shard (or for the whole tenant
-            // budget): uncacheable by definition. Drop it (and any
-            // stale entry it would have refreshed) without evicting
-            // the rest of the shard.
-            if (it != shard.index.end())
-                removeNode(shard, it);
-            ++shard.evictions;
-            // Charge the refusal to the tag only if it already has a
-            // row: a refusal stores nothing, so materializing a row
-            // for it would let oversized-value tag churn burn
-            // kMaxTags slots without ever caching a byte.
-            if (tagCap) {
-                auto t = shard.tags.find(tag);
-                if (t != shard.tags.end())
-                    ++t->second.evictions;
-            }
-            return;
-        }
-        if (it != shard.index.end()) {
-            Node *n = it->second.get();
-            shard.bytes -= n->bytes;
-            tagUnlink(shard, n);
-            n->value = std::move(holder);
-            n->bytes = bytes;
-            n->tag = tracked ? tag : std::string();
-            shard.bytes += n->bytes;
-            detach(shard, n);
-            pushFront(shard, n);
-            if (!n->tag.empty())
-                tagAdd(shard, n);
-        } else {
-            auto node = std::make_unique<Node>();
-            node->key.assign(key.data(), key.size());
-            node->value = std::move(holder);
-            node->bytes = bytes;
-            node->tag = tracked ? tag : std::string();
-            Node *n = node.get();
-            shard.index.emplace(std::string_view(n->key),
-                                std::move(node));
-            shard.bytes += n->bytes;
-            pushFront(shard, n);
-            if (!n->tag.empty())
-                tagAdd(shard, n);
-            ++shard.insertions;
-        }
-        if (tagCap) {
-            // Tenant budget first: a flooding tenant pays for its own
-            // overflow before global pressure can touch anyone else.
-            // (find, not operator[]: an untracked tag past kMaxTags
-            // has no list and no per-tag budget to enforce.)
-            auto tl = shard.tags.find(tag);
-            while (tl != shard.tags.end() &&
-                   tl->second.bytes > tagCap && tl->second.tail)
-                evictNode(shard, tl->second.tail);
-        }
-        while (overBudget(shard) && shard.tail)
-            evictNode(shard, shard.tail);
+        insert(key, std::make_shared<const Value>(std::move(value)),
+               bytes, tag);
     }
 
     /** Aggregate counters across shards (approximate under load). */
@@ -397,16 +273,7 @@ class LruCache
     }
 
     /** Total entries across shards (approximate under concurrency). */
-    std::size_t size() const
-    {
-        std::size_t n = 0;
-        for (std::size_t i = 0; i < cfg_.shards; ++i) {
-            Shard &shard = shards_[i];
-            LockGuard lock(shard.mu);
-            n += shard.index.size();
-        }
-        return n;
-    }
+    std::size_t size() const { return stats().entries; }
 
     /** Drop every entry; counters (including evictions) persist. */
     void clear()
@@ -434,6 +301,8 @@ class LruCache
     }
 
   private:
+    using Holder = std::shared_ptr<const Value>;
+
     /**
      * Intrusive LRU node: owns its key and tag, linked newest-first
      * on the shard's global list and (when tagged) on its tag's list.
@@ -444,7 +313,7 @@ class LruCache
     {
         std::string key;
         std::string tag; //!< Tenant label; empty = untagged.
-        std::shared_ptr<const Value> value;
+        Holder value;
         std::size_t bytes = 0;
         Node *prev = nullptr;
         Node *next = nullptr;
@@ -481,6 +350,9 @@ class LruCache
          * so tracking is hard-capped at kMaxTags per shard.
          */
         std::map<std::string, TagList> tags SMART_GUARDED_BY(mu);
+        /** getOrCompute() computations in progress, by key. */
+        std::unordered_map<std::string, std::shared_future<Holder>>
+            inflight SMART_GUARDED_BY(mu);
         std::size_t bytes SMART_GUARDED_BY(mu) = 0;
         std::uint64_t hits SMART_GUARDED_BY(mu) = 0;
         std::uint64_t misses SMART_GUARDED_BY(mu) = 0;
@@ -642,6 +514,108 @@ class LruCache
         removeNode(shard, shard.index.find(std::string_view(n->key)));
     }
 
+    /** put()'s locked half: insert or refresh, then enforce budgets. */
+    void insert(std::string_view key, Holder holder, std::size_t bytes,
+                const std::string &tag)
+    {
+        Shard &shard = shardOf(key);
+        LockGuard lock(shard.mu);
+        auto it = shard.index.find(key);
+        // The tenant budget only constrains tags that are actually
+        // tracked: when every tag slot holds live entries, an entry
+        // with a fresh tag is cached untagged, so there is no
+        // per-tag slice for it to be oversized for.
+        const bool tracked = trackTag(shard, tag);
+        const std::size_t tagCap = tracked ? shardTagBytes_ : 0;
+        if ((shardMaxBytes_ && bytes > shardMaxBytes_) ||
+            (tagCap && bytes > tagCap)) {
+            // Oversized for the shard (or for the whole tenant
+            // budget): uncacheable by definition. Drop it (and any
+            // stale entry it would have refreshed) without evicting
+            // the rest of the shard.
+            if (it != shard.index.end())
+                removeNode(shard, it);
+            ++shard.evictions;
+            // Charge the refusal to the tag only if it already has a
+            // row: a refusal stores nothing, so materializing a row
+            // for it would let oversized-value tag churn burn
+            // kMaxTags slots without ever caching a byte.
+            if (tagCap) {
+                auto t = shard.tags.find(tag);
+                if (t != shard.tags.end())
+                    ++t->second.evictions;
+            }
+            return;
+        }
+        if (it != shard.index.end()) {
+            Node *n = it->second.get();
+            shard.bytes -= n->bytes;
+            tagUnlink(shard, n);
+            n->value = std::move(holder);
+            n->bytes = bytes;
+            n->tag = tracked ? tag : std::string();
+            shard.bytes += n->bytes;
+            detach(shard, n);
+            pushFront(shard, n);
+            if (!n->tag.empty())
+                tagAdd(shard, n);
+        } else {
+            auto node = std::make_unique<Node>();
+            node->key.assign(key.data(), key.size());
+            node->value = std::move(holder);
+            node->bytes = bytes;
+            node->tag = tracked ? tag : std::string();
+            Node *n = node.get();
+            shard.index.emplace(std::string_view(n->key),
+                                std::move(node));
+            shard.bytes += n->bytes;
+            pushFront(shard, n);
+            if (!n->tag.empty())
+                tagAdd(shard, n);
+            ++shard.insertions;
+        }
+        if (tagCap) {
+            // Tenant budget first: a flooding tenant pays for its own
+            // overflow before global pressure can touch anyone else.
+            // (find, not operator[]: an untracked tag past kMaxTags
+            // has no list and no per-tag budget to enforce.)
+            auto tl = shard.tags.find(tag);
+            while (tl != shard.tags.end() &&
+                   tl->second.bytes > tagCap && tl->second.tail)
+                evictNode(shard, tl->second.tail);
+        }
+        while (overBudget(shard) && shard.tail)
+            evictNode(shard, shard.tail);
+    }
+
+    /** @p key's value, now most recently used, or null. mu held. */
+    static Holder touch(Shard &shard, std::string_view key)
+        SMART_REQUIRES(shard.mu)
+    {
+        auto it = shard.index.find(key);
+        if (it == shard.index.end())
+            return nullptr;
+        Node *n = it->second.get();
+        detach(shard, n);
+        pushFront(shard, n);
+        if (!n->tag.empty()) {
+            // Tag recency mirrors global recency, so the entry a
+            // tenant-budget eviction picks is the tenant's own
+            // least-recently-used, not its oldest insert.
+            TagList &tl = shard.tags[n->tag];
+            tagDetach(tl, n);
+            tagPushFront(tl, n);
+        }
+        return n->value;
+    }
+
+    /** Drop @p key's in-flight marker once its computation settled. */
+    static void retire(Shard &shard, std::string_view key)
+    {
+        LockGuard lock(shard.mu);
+        shard.inflight.erase(std::string(key));
+    }
+
     Shard &shardOf(std::string_view key) const
     {
         return shards_[std::hash<std::string_view>{}(key) %
@@ -657,4 +631,4 @@ class LruCache
 
 } // namespace smart
 
-#endif // SMART_COMMON_PARALLEL_HH
+#endif // SMART_COMMON_CACHE_HH

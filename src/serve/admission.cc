@@ -81,6 +81,8 @@ invalidReason(const EvalRequest &req)
         return "batch must be >= 1";
     if (!req.cfg.pe.valid())
         return "bad PE array dims";
+    if (const char *why = req.cfg.invalidReason())
+        return why;
     for (const auto &layer : req.model.layers)
         if (const char *why = layer.invalidReason())
             return why;

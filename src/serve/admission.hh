@@ -113,7 +113,8 @@ bool estimatorGated(const TenantPolicy &t, double deadlineMs,
 /**
  * Why @p req cannot be evaluated (the first failing check), or null
  * when it can: batch < 1, a layer failing ConvLayer::invalidReason,
- * or an empty PE array.
+ * an empty PE array, or a config failing
+ * AcceleratorConfig::invalidReason (e.g. zero-bank SPMs).
  */
 const char *invalidReason(const EvalRequest &req);
 

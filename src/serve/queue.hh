@@ -46,21 +46,6 @@ enum class AdmissionPolicy
     Block   //!< Block the submitting thread until space frees up.
 };
 
-/** AdmissionPolicy name for logs and tables. */
-inline const char *
-admissionPolicyName(AdmissionPolicy p)
-{
-    switch (p) {
-      case AdmissionPolicy::Reject:
-        return "reject";
-      case AdmissionPolicy::Shed:
-        return "shed";
-      case AdmissionPolicy::Block:
-        return "block";
-    }
-    return "?";
-}
-
 /** Queue shape and admission behavior. */
 struct QueueConfig
 {

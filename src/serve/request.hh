@@ -28,21 +28,6 @@ enum class Priority
     High = 2
 };
 
-/** Priority name for logs and tables. */
-inline const char *
-priorityName(Priority p)
-{
-    switch (p) {
-      case Priority::Low:
-        return "low";
-      case Priority::Normal:
-        return "normal";
-      case Priority::High:
-        return "high";
-    }
-    return "?";
-}
-
 /** One client request: an evaluation point plus scheduling intent. */
 struct EvalRequest
 {
@@ -82,21 +67,6 @@ enum class ResponseStatus
     Shed,    //!< Evicted while queued to admit a higher-priority request.
     Expired  //!< Deadline passed before dispatch.
 };
-
-/** ResponseStatus name for logs and tables. */
-inline const char *
-responseStatusName(ResponseStatus s)
-{
-    switch (s) {
-      case ResponseStatus::Ok:
-        return "ok";
-      case ResponseStatus::Shed:
-        return "shed";
-      case ResponseStatus::Expired:
-        return "expired";
-    }
-    return "?";
-}
 
 /** What an admitted request's future resolves to. */
 struct EvalResponse
@@ -163,8 +133,9 @@ enum class Admission
     ServedDegraded,
     /**
      * The request cannot be evaluated at all (batch < 1, a malformed
-     * layer, an empty PE array): refused before it reaches a model
-     * that would assert on it. See serve/admission.hh invalidReason.
+     * layer, an empty PE array, a zero-bank or zero-rate config):
+     * refused before it reaches a model that would assert or divide
+     * by zero on it. See serve/admission.hh invalidReason.
      */
     RejectedInvalid
 };

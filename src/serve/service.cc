@@ -751,7 +751,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         // paths never collide in the cache or share a wave item.
         const std::string_view evalKey = p.degrade ? block : p.key;
         accel::InferenceResult cached;
-        if (cfg_.cacheEnabled && cacheLookup(p, evalKey, cached)) {
+        if (cacheLookup(p, evalKey, cached)) {
             resolveOk(std::move(p), cached, /*cache_hit=*/true,
                       /*coalesced=*/false);
             continue;
@@ -801,13 +801,10 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                 // them into the response. Degraded groups write under
                 // the "|greedy" key and feed the greedy shape EWMA,
                 // keeping both paths' cost models separate.
-                if (cfg_.cacheEnabled) {
-                    cache_.put(g.evalKey, res, head.req.tag);
-                    if (diskCache_)
-                        diskCache_->put(
-                            std::string(g.evalKey),
-                            accel::serializeInferenceResult(res));
-                }
+                cache_.put(g.evalKey, res, head.req.tag);
+                if (diskCache_)
+                    diskCache_->put(std::string(g.evalKey),
+                                    accel::serializeInferenceResult(res));
                 estimator_.recordService(
                     accel::requestShapeKey(head.req.model,
                                            head.req.batch) +

@@ -52,8 +52,8 @@
 #include <thread>
 
 #include "accel/batch.hh"
+#include "common/cache.hh"
 #include "common/diskcache.hh"
-#include "common/parallel.hh"
 #include "common/threadsafety.hh"
 #include "serve/admission.hh"
 #include "serve/estimator.hh"
@@ -113,10 +113,9 @@ struct ServiceConfig
      * and grows it only when every SLO-bearing tenant is healthy.
      */
     std::map<std::string, TenantSlo> tenantSlo;
-    bool cacheEnabled = true;
     /**
      * Result-cache entry budget, enforced by per-shard LRU eviction
-     * (common/parallel.hh LruCache). 0 means unbounded.
+     * (common/cache.hh LruCache). 0 means unbounded.
      */
     std::size_t cacheMaxEntries = 4096;
     /**

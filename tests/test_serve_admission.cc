@@ -399,7 +399,39 @@ malformedRequests()
         l.kernelH = l.kernelW = l.ifmapH + 1;
     });
     add("pe.rows 0", [](serve::EvalRequest &r) { r.cfg.pe.rows = 0; });
+    // A default-constructed config has zero-bank SPMs, which runLayer
+    // divides by (the process used to die of SIGFPE), for both the
+    // SMART and SHIFT paths.
+    add("default config", [](serve::EvalRequest &r) { r.cfg = {}; });
+    add("default SHIFT config", [](serve::EvalRequest &r) {
+        r.cfg = {};
+        r.cfg.scheme = accel::Scheme::SuperNpu;
+    });
+    add("output SPM 0 banks",
+        [](serve::EvalRequest &r) { r.cfg.outputSpm.banks = 0; });
+    add("RANDOM array 0 banks",
+        [](serve::EvalRequest &r) { r.cfg.randomArray.banks = 0; });
+    add("clock 0", [](serve::EvalRequest &r) { r.cfg.clockGhz = {}; });
+    add("DRAM bandwidth 0",
+        [](serve::EvalRequest &r) { r.cfg.dramBandwidthGBs = 0.0; });
+    add("prefetchIterations 0",
+        [](serve::EvalRequest &r) { r.cfg.prefetchIterations = 0; });
     return out;
+}
+
+TEST(Admission, EverySchemeConfigIsValid)
+{
+    // A RANDOM array without capacity needs no banks: the TPU and
+    // SHIFT schemes have none.
+    for (auto s : {accel::Scheme::Tpu, accel::Scheme::SuperNpu,
+                   accel::Scheme::Sram, accel::Scheme::Heter,
+                   accel::Scheme::Pipe, accel::Scheme::Smart}) {
+        SCOPED_TRACE(accel::schemeName(s));
+        serve::EvalRequest r = smallRequest();
+        r.cfg = accel::makeScheme(s);
+        EXPECT_EQ(r.cfg.invalidReason(), nullptr);
+        EXPECT_EQ(serve::invalidReason(r), nullptr);
+    }
 }
 
 TEST(Admission, InvalidRequestIsTheFirstRule)
