@@ -26,6 +26,14 @@ struct ObjVars
     ilp::Var hp; //!< AND(h, p): SHIFT-resident and prefetched.
 };
 
+/** Handles of object @p i: buildIlpModel adds four binaries per object. */
+ObjVars
+objVars(std::size_t i)
+{
+    const int base = 4 * static_cast<int>(i);
+    return {{base}, {base + 1}, {base + 2}, {base + 3}};
+}
+
 /**
  * Upper bound on the relative optimality gap of @p objective against
  * the solver's reported best bound (maximize direction); -1 when the
@@ -60,12 +68,11 @@ greedyFallback(const LayerDag &dag, const SchedParams &params,
 
 } // namespace
 
-Schedule
-scheduleIlp(const LayerDag &dag, const SchedParams &params)
+ilp::Model
+buildIlpModel(const LayerDag &dag, const SchedParams &params)
 {
     using ilp::LinExpr;
     using ilp::Sense;
-    using ilp::Var;
 
     ilp::Model model;
     std::vector<ObjVars> vars(dag.objects.size());
@@ -209,13 +216,26 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
         obj.add(vars[i].p, hide * tilt);
     }
     model.setObjective(obj, true);
+    return model;
+}
 
+ilp::SolverOptions
+ilpSolverOptions()
+{
     ilp::SolverOptions opts;
     opts.maxBnbNodes = 200;
     // A 0.5 % optimality gap is far below the model's fidelity and
     // keeps per-layer scheduling in the milliseconds.
     opts.gapTol = 5e-3;
-    // The solve itself is the stage worth timing (model build above
+    return opts;
+}
+
+Schedule
+scheduleIlp(const LayerDag &dag, const SchedParams &params)
+{
+    const ilp::Model model = buildIlpModel(dag, params);
+    const ilp::SolverOptions opts = ilpSolverOptions();
+    // The solve itself is the stage worth timing (the model build
     // is linear); the span lands on whichever request's evaluation
     // reached this layer (ambient trace id, 0 = untraced no-op).
     const std::uint64_t traceId = TraceRecorder::currentTrace();
@@ -244,12 +264,13 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     Schedule sched;
     sched.decisions.resize(dag.objects.size());
     for (std::size_t i = 0; i < dag.objects.size(); ++i) {
-        const bool h = sol.value(vars[i].h) > 0.5;
-        const bool r = sol.value(vars[i].r) > 0.5;
+        const ObjVars v = objVars(i);
+        const bool h = sol.value(v.h) > 0.5;
+        const bool r = sol.value(v.r) > 0.5;
         sched.decisions[i].placement =
             h ? Placement::Shift
               : (r ? Placement::Random : Placement::Dram);
-        sched.decisions[i].prefetched = sol.value(vars[i].p) > 0.5;
+        sched.decisions[i].prefetched = sol.value(v.p) > 0.5;
     }
     sched.objective = sol.objective;
     sched.quality = Quality::Optimal;

@@ -11,9 +11,21 @@
 #define SMART_COMPILER_ILPSCHED_HH
 
 #include "compiler/schedule.hh"
+#include "ilp/model.hh"
+#include "ilp/simplex.hh"
 
 namespace smart::compiler
 {
+
+/**
+ * The layer's Eq. 5-6 model as scheduleIlp solves it: four binaries
+ * per memory object, with h, r, p and hp of object i at variable ids
+ * 4i .. 4i+3.
+ */
+ilp::Model buildIlpModel(const LayerDag &dag, const SchedParams &params);
+
+/** Solver options scheduleIlp solves that model with. */
+ilp::SolverOptions ilpSolverOptions();
 
 /** Schedule one layer DAG with the ILP formulation. */
 Schedule scheduleIlp(const LayerDag &dag, const SchedParams &params);

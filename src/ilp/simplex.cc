@@ -33,9 +33,17 @@ namespace
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /**
- * Dense two-phase simplex over buffers owned by an LpWorkspace. All
- * per-solve state lives in the workspace so repeated solves (the B&B
- * node loop) touch the allocator only when the model grows.
+ * Two-phase simplex over buffers owned by an LpWorkspace. All per-solve
+ * state lives in the workspace so repeated solves (the B&B node loop)
+ * touch the allocator only when the model grows.
+ *
+ * Every loop over tableau cells walks the sparsity patterns instead of
+ * whole rows or columns. Cells off the patterns are exactly zero, and
+ * skipping x / p or r[j] -= f * 0 for a zero changes at most the sign
+ * of a zero, which no comparison or divisor sees; pricing scans red[]
+ * densely in index order and the ratio test visits rows in ascending
+ * order, so every tie breaks as in a dense sweep and the pivots are
+ * the same.
  */
 class Tableau
 {
@@ -61,6 +69,12 @@ class Tableau
 
     double *row(int i) { return ws_.a.data() + i * cols_; }
     const double *row(int i) const { return ws_.a.data() + i * cols_; }
+    /** Put cell (i, j), not yet on them, on both patterns. */
+    void addCell(int i, int j)
+    {
+        ws_.rowCols[i].push_back(j);
+        ws_.colRows[j].push_back(i);
+    }
 
     const Model &model_;
     const SolverOptions &opts_;
@@ -70,6 +84,7 @@ class Tableau
     int cols_ = 0;        //!< Total tableau columns (without rhs).
     int first_artificial_ = 0;
     int iters_ = 0;
+    int stamp_ = 0;       //!< Last ws_.stamp tag handed out.
     bool unbounded_ = false;
 };
 
@@ -154,30 +169,55 @@ Tableau::Tableau(const Model &model, const SolverOptions &opts,
     first_artificial_ = n_ + slacks;
     cols_ = n_ + slacks + artificials;
 
-    // Fill the flat tableau from the CSR plus slack/artificial columns.
-    ws_.a.assign(static_cast<std::size_t>(m_) * cols_, 0.0);
+    // Zero the cells the previous solve left on its patterns, at its
+    // row stride; every other cell is already zero.
+    for (int i = 0; i < ws_.layoutRows; ++i) {
+        double *r = ws_.a.data() +
+                    static_cast<std::size_t>(i) * ws_.layoutCols;
+        for (int j : ws_.rowCols[i])
+            r[j] = 0.0;
+        ws_.rowCols[i].clear();
+    }
+    for (int j = 0; j < ws_.layoutCols; ++j)
+        ws_.colRows[j].clear();
+    // Storage only grows, so B&B nodes reuse it without reallocating.
+    const std::size_t cells = static_cast<std::size_t>(m_) * cols_;
+    if (ws_.a.size() < cells)
+        ws_.a.resize(cells, 0.0);
+    if (ws_.rowCols.size() < static_cast<std::size_t>(m_))
+        ws_.rowCols.resize(m_);
+    if (ws_.colRows.size() < static_cast<std::size_t>(cols_))
+        ws_.colRows.resize(cols_);
+    ws_.layoutRows = m_;
+    ws_.layoutCols = cols_;
+    ws_.stamp.assign(cols_, 0);
     ws_.rhs.assign(m_, 0.0);
     ws_.basis.assign(m_, 0);
 
+    // Fill the tableau from the CSR plus slack/artificial columns.
+    // Rows are filled in order, so every column pattern starts sorted.
+    auto set = [&](int i, int j, double v) {
+        row(i)[j] = v;
+        addCell(i, j);
+    };
     int slack_col = n_;
     int art_col = first_artificial_;
     for (int i = 0; i < m_; ++i) {
-        double *r = row(i);
         for (int k = ws_.csrRowPtr[i]; k < ws_.csrRowPtr[i + 1]; ++k)
-            r[ws_.csrCols[k]] = ws_.csrVals[k];
+            set(i, ws_.csrCols[k], ws_.csrVals[k]);
         ws_.rhs[i] = ws_.rowRhs[i];
         switch (static_cast<Sense>(ws_.rowSense[i])) {
           case Sense::Le:
-            r[slack_col] = 1.0;
+            set(i, slack_col, 1.0);
             ws_.basis[i] = slack_col++;
             break;
           case Sense::Ge:
-            r[slack_col++] = -1.0;
-            r[art_col] = 1.0;
+            set(i, slack_col++, -1.0);
+            set(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
           case Sense::Eq:
-            r[art_col] = 1.0;
+            set(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
         }
@@ -194,7 +234,7 @@ Tableau::computeReducedRow(const std::vector<double> &cost)
         if (cb == 0.0)
             continue;
         const double *r = row(i);
-        for (int j = 0; j < cols_; ++j)
+        for (int j : ws_.rowCols[i])
             red[j] -= cb * r[j];
     }
 }
@@ -202,25 +242,54 @@ Tableau::computeReducedRow(const std::vector<double> &cost)
 void
 Tableau::pivot(int prow_idx, int col)
 {
+    // Only the pivot row's nonzero columns change anything; they are
+    // left in ws_.live for the caller's reduced-cost update.
     double *prow = row(prow_idx);
     const double p = prow[col];
-    for (int j = 0; j < cols_; ++j)
-        prow[j] /= p;
+    ws_.live.clear();
+    for (int j : ws_.rowCols[prow_idx]) {
+        if (prow[j] != 0.0) {
+            prow[j] /= p;
+            ws_.live.push_back(j);
+        }
+    }
     ws_.rhs[prow_idx] /= p;
-    for (int i = 0; i < m_; ++i) {
+    // Only the rows on col's pattern can have r[col] != 0. Each ends
+    // with r[col] == 0 exactly (prow[col] is p / p == 1), so col leaves
+    // their patterns and its own becomes the pivot row alone.
+    std::vector<int> &col_rows = ws_.colRows[col];
+    for (int i : col_rows) {
         if (i == prow_idx)
             continue;
         double *r = row(i);
         const double f = r[col];
-        if (f == 0.0)
+        // Stamp row i's pattern (fill-in is a live column off it)
+        // while dropping col from it.
+        std::vector<int> &cols = ws_.rowCols[i];
+        const int tag = ++stamp_;
+        for (std::size_t k = 0; k < cols.size();) {
+            if (cols[k] == col) {
+                cols[k] = cols.back();
+                cols.pop_back();
+            } else {
+                ws_.stamp[cols[k++]] = tag;
+            }
+        }
+        if (f == 0.0) {
+            r[col] = 0.0;
             continue;
-        for (int j = 0; j < cols_; ++j)
+        }
+        for (int j : ws_.live) {
             r[j] -= f * prow[j];
+            if (ws_.stamp[j] != tag && j != col) // fill-in
+                addCell(i, j);
+        }
         ws_.rhs[i] -= f * ws_.rhs[prow_idx];
         // Clamp tiny negative residues from cancellation.
         if (ws_.rhs[i] < 0 && ws_.rhs[i] > -opts_.eps)
             ws_.rhs[i] = 0.0;
     }
+    col_rows.assign(1, prow_idx);
     ws_.basis[prow_idx] = col;
 }
 
@@ -254,10 +323,14 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         if (enter < 0)
             return true; // optimal for this phase
 
-        // Ratio test (Bland tie-break on basis index).
+        // Ratio test (Bland tie-break on basis index) over the rows on
+        // the entering column's pattern, in ascending order as the
+        // tie-breaks require.
+        std::vector<int> &rows = ws_.colRows[enter];
+        std::sort(rows.begin(), rows.end());
         int leave = -1;
         double best_ratio = kInf;
-        for (int i = 0; i < m_; ++i) {
+        for (int i : rows) {
             const double aie = row(i)[enter];
             if (aie > opts_.eps) {
                 const double ratio = ws_.rhs[i] / aie;
@@ -280,7 +353,7 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         // Update reduced costs against the normalized pivot row.
         const double re = red[enter];
         const double *prow = row(leave);
-        for (int j = 0; j < cols_; ++j)
+        for (int j : ws_.live)
             red[j] -= re * prow[j];
         red[enter] = 0.0;
 
@@ -318,13 +391,13 @@ Tableau::solve()
         for (int i = 0; i < m_; ++i) {
             if (ws_.basis[i] < first_artificial_)
                 continue;
+            // The lowest such column, as a dense scan would find.
             int repl = -1;
             const double *r = row(i);
-            for (int j = 0; j < first_artificial_; ++j) {
-                if (std::fabs(r[j]) > opts_.eps) {
+            for (int j : ws_.rowCols[i]) {
+                if (j < first_artificial_ && (repl < 0 || j < repl) &&
+                    std::fabs(r[j]) > opts_.eps)
                     repl = j;
-                    break;
-                }
             }
             if (repl >= 0)
                 pivot(i, repl);

@@ -1,9 +1,13 @@
 /**
  * @file
- * Dense two-phase primal simplex for the LP relaxations used by the
+ * Two-phase primal simplex for the LP relaxations used by the
  * branch-and-bound ILP solver. Dantzig pricing with a Bland's-rule
  * fallback for anti-cycling; variable bounds are folded into the
  * tableau (lower bounds by shifting, upper bounds as explicit rows).
+ * The tableau is stored flat but walked through row and column
+ * sparsity patterns, so a pivot costs work in its nonzeros rather than
+ * in the tableau's size, while taking the same pivots a dense sweep
+ * would.
  */
 
 #ifndef SMART_ILP_SIMPLEX_HH
@@ -71,20 +75,35 @@ struct Solution
 };
 
 /**
- * Reusable dense-solve buffers. The branch-and-bound driver solves
- * thousands of structurally identical LPs that differ only in variable
- * bounds; routing them through one workspace reuses every row/column
- * allocation (tableau, rhs, basis, pricing vectors, assembly scratch)
- * instead of reallocating per node. A workspace may be reused across
- * models of any size; it must not be shared between threads.
+ * Reusable solve buffers. The branch-and-bound search solves thousands
+ * of structurally identical LPs that differ only in variable bounds;
+ * routing them through one workspace reuses every row/column
+ * allocation (tableau, patterns, rhs, basis, pricing vectors, assembly
+ * buffers) instead of reallocating per node. A workspace may be reused
+ * across models of any size; it must not be shared between threads.
  */
 struct LpWorkspace
 {
-    // Dense tableau state (m x cols, row-major).
+    // Tableau state: m x cols cells, row-major with row stride cols.
+    // Only cells on the patterns below can be nonzero.
     std::vector<double> a;
     std::vector<double> rhs;
     std::vector<int> basis;
     std::vector<double> shift;
+    // Sparsity patterns: the columns of each row and the rows of each
+    // column that may be nonzero. Both hold the same set of cells, a
+    // superset of the nonzeros, extended on fill-in. The lists are
+    // cleared, never freed, so B&B nodes reuse their capacity.
+    std::vector<std::vector<int>> rowCols;
+    std::vector<std::vector<int>> colRows;
+    // Layout of the last solve, whose pattern cells the next solve
+    // clears instead of zero-filling the whole tableau.
+    int layoutRows = 0;
+    int layoutCols = 0;
+    // Pivot buffers: the pivot row's nonzero columns, and a per-column
+    // marker of the pattern of the row being eliminated.
+    std::vector<int> live;
+    std::vector<int> stamp;
     // Pricing buffers.
     std::vector<double> cost;
     std::vector<double> red;
