@@ -7,12 +7,6 @@ namespace smart::accel
 {
 
 std::vector<InferenceResult>
-runBatch(const std::vector<BatchItem> &items)
-{
-    return runBatch(items, nullptr);
-}
-
-std::vector<InferenceResult>
 runBatch(const std::vector<BatchItem> &items, const BatchItemHook &onItem)
 {
     std::vector<InferenceResult> results(items.size());

@@ -51,11 +51,8 @@ using BatchItemHook =
  * Evaluate every item concurrently on the global thread pool (serial
  * when SMART_THREADS=1). results[i] corresponds to items[i].
  */
-std::vector<InferenceResult> runBatch(const std::vector<BatchItem> &items);
-
-/** runBatch with a per-item completion hook (null hook allowed). */
 std::vector<InferenceResult> runBatch(const std::vector<BatchItem> &items,
-                                      const BatchItemHook &onItem);
+                                      const BatchItemHook &onItem = {});
 
 } // namespace smart::accel
 

@@ -267,16 +267,11 @@ clearIlpCache()
 
 LayerResult
 runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
-         int batch)
-{
-    return runLayer(cfg, layer, batch, SchedMode::Ilp);
-}
-
-LayerResult
-runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
          int batch, SchedMode mode)
 {
     smart_assert(batch >= 1, "batch must be >= 1");
+    const char *invalid = cfg.invalidReason();
+    smart_assert(invalid == nullptr, invalid);
     const LayerDemand d = systolic::analyzeDemand(layer, cfg.pe);
     const auto &m = d.mapping;
     const double B = batch;
@@ -511,13 +506,6 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
                   r.outputService}) +
         r.serialOverhead;
     return r;
-}
-
-InferenceResult
-runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
-             int batch)
-{
-    return runInference(cfg, model, batch, SchedMode::Ilp);
 }
 
 InferenceResult

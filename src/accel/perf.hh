@@ -103,23 +103,21 @@ enum class SchedMode
     Greedy
 };
 
-/** Run one model at the given batch size on a configuration. */
-InferenceResult runInference(const AcceleratorConfig &cfg,
-                             const cnn::CnnModel &model, int batch);
-
-/** Same, with an explicit scheduling mode (degraded serving). */
+/**
+ * Run one model at the given batch size on a configuration; degraded
+ * serving passes SchedMode::Greedy.
+ */
 InferenceResult runInference(const AcceleratorConfig &cfg,
                              const cnn::CnnModel &model, int batch,
-                             SchedMode mode);
+                             SchedMode mode = SchedMode::Ilp);
 
-/** Run a single layer (exposed for tests and benches). */
-LayerResult runLayer(const AcceleratorConfig &cfg,
-                     const systolic::ConvLayer &layer, int batch);
-
-/** Same, with an explicit scheduling mode. */
+/**
+ * Run a single layer (exposed for tests and benches). Panics with
+ * the reason when @p cfg fails AcceleratorConfig::invalidReason().
+ */
 LayerResult runLayer(const AcceleratorConfig &cfg,
                      const systolic::ConvLayer &layer, int batch,
-                     SchedMode mode);
+                     SchedMode mode = SchedMode::Ilp);
 
 /**
  * Clear the process-global schedule memo, so the next evaluation

@@ -1,20 +1,16 @@
 /**
  * @file
- * TaskScheduler internals: the Chase-Lev deque, the worker loop, and
- * the steal protocol. The deque follows the Chase-Lev/Lê algorithm
- * with every cross-thread access on std::atomic (seq_cst where the
- * algorithm needs a store-load ordering, instead of standalone
- * fences, which TSan does not model) — the owner pushes and pops at
- * the bottom, thieves CAS the top, and a lost CAS race is counted as
- * a steal failure and retried by the caller's outer loop. Retired
- * (outgrown) ring buffers are kept until the deque dies: a thief may
- * still be reading a stale buffer, and its subsequent top CAS is
- * what decides whether the value it read means anything.
+ * TaskScheduler internals: the mutex-guarded deque, the worker loop,
+ * the steal sweep and the sleep protocol. A thief try_locks its
+ * victim and counts a held lock as a steal failure; the caller's
+ * outer loop retries. A worker sleeps on idleCv_ only while ready_ —
+ * the count of spawned tasks nobody has taken yet — is zero, and
+ * every spawn bumps ready_ under idleMu_ before it notifies, so a
+ * wakeup cannot fall between a worker's last look and its wait.
  */
 
 #include "common/taskgraph.hh"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -22,189 +18,9 @@
 namespace smart
 {
 
-/** One unit of work: the closure, its join group, its trace context. */
-struct TaskScheduler::Task
-{
-    std::function<void()> fn;
-    TaskGroup *group = nullptr; //!< Null for detached submit()s.
-    std::uint64_t traceId = 0;  //!< Spawner's ambient trace id.
-};
-
-namespace
-{
-
-/**
- * Chase-Lev work-stealing deque of Task pointers. Single owner
- * (push/pop at the bottom), many thieves (steal at the top). The
- * ring grows geometrically; old rings are retired, not freed, until
- * destruction (see file comment).
- */
-class TaskDeque
-{
-  public:
-    // lint-allow(naked-new): the Ring's ownership is deliberately
-    // manual — the raw pointer is double-tracked (the atomic buf_ for
-    // thieves, retired_ for the owner's eventual free), which no
-    // single smart pointer can express; retired_ frees every ring.
-    TaskDeque() : buf_(new Ring(kInitialCap))
-    {
-        // memory_order: relaxed — ctor-local; nobody else can see
-        // buf_ before the deque itself is published.
-        retired_.emplace_back(buf_.load(std::memory_order_relaxed));
-    }
-
-    /** Owner only. Returns the post-push depth for the max gauge. */
-    std::size_t push(TaskScheduler::Task *task)
-    {
-        // memory_order: bottom_/buf_ are owner-written, so the owner
-        // reads them relaxed; top_ is acquire so the slots a thief
-        // consumed are really gone before we reuse the space.
-        const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-        const std::int64_t t = top_.load(std::memory_order_acquire);
-        Ring *ring = buf_.load(std::memory_order_relaxed);
-        if (b - t >= static_cast<std::int64_t>(ring->cap))
-            ring = grow(ring, t, b);
-        ring->put(b, task);
-        // Publish the slot before the new bottom: a thief that
-        // acquires this bottom value must see the task pointer.
-        bottom_.store(b + 1, std::memory_order_seq_cst);
-        return static_cast<std::size_t>(b + 1 - t);
-    }
-
-    /** Owner only: LIFO pop from the bottom (depth-first descent). */
-    TaskScheduler::Task *pop()
-    {
-        // memory_order: owner-side relaxed reads of owner-written
-        // state (bottom_/buf_); the seq_cst store/load below is the
-        // algorithm's required store-load barrier.
-        const std::int64_t b =
-            bottom_.load(std::memory_order_relaxed) - 1;
-        Ring *ring = buf_.load(std::memory_order_relaxed);
-        // The seq_cst store/load pair is the algorithm's store-load
-        // barrier: the reservation of slot b must be globally
-        // ordered against a thief's top read.
-        bottom_.store(b, std::memory_order_seq_cst);
-        std::int64_t t = top_.load(std::memory_order_seq_cst);
-        // memory_order: the undo stores are relaxed (owner-only
-        // writes; thieves never read a bottom_ they must order on
-        // after losing the CAS), and the CAS failure order is relaxed
-        // because a loser discards everything it read.
-        if (t > b) { // empty: undo the reservation
-            bottom_.store(b + 1, std::memory_order_relaxed);
-            return nullptr;
-        }
-        TaskScheduler::Task *task = ring->get(b);
-        if (t == b) {
-            // Last element: race the thieves for it via the top.
-            if (!top_.compare_exchange_strong(
-                    t, t + 1, std::memory_order_seq_cst,
-                    std::memory_order_relaxed))
-                task = nullptr; // a thief won
-            bottom_.store(b + 1, std::memory_order_relaxed);
-        }
-        return task;
-    }
-
-    /**
-     * Thief side: FIFO steal from the top. Sets @p contended when
-     * the CAS lost a race (retry-worthy) as opposed to the deque
-     * simply being empty.
-     */
-    TaskScheduler::Task *steal(bool &contended)
-    {
-        contended = false;
-        std::int64_t t = top_.load(std::memory_order_seq_cst);
-        const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-        if (t >= b)
-            return nullptr; // empty
-        // memory_order: acquire on buf_ pairs with grow()'s release
-        // so the thief sees the copied slots of a fresh ring; the CAS
-        // failure order is relaxed — a loser uses nothing it read.
-        Ring *ring = buf_.load(std::memory_order_acquire);
-        TaskScheduler::Task *task = ring->get(t);
-        // The CAS decides ownership; only a winner may use the value
-        // read above (a stale read loses the CAS by construction).
-        if (!top_.compare_exchange_strong(t, t + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-            contended = true;
-            return nullptr;
-        }
-        return task;
-    }
-
-    /** Racy size estimate (sweep ordering only). */
-    bool emptyApprox() const
-    {
-        // memory_order: relaxed — an advisory emptiness hint; every
-        // authoritative read happens inside pop()/steal().
-        return bottom_.load(std::memory_order_relaxed) <=
-               top_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    static constexpr std::size_t kInitialCap = 64;
-
-    struct Ring
-    {
-        explicit Ring(std::size_t c)
-            : cap(c), mask(c - 1),
-              // Value-initialized: a thief holding a stale top may
-              // read a never-written slot of a freshly grown ring
-              // before its CAS fails — that read must be defined.
-              // lint-allow(naked-new): unique_ptr<T[]> takes the raw
-              // array; make_unique would zero-init identically but
-              // cannot be spelled in this member-init position with
-              // the comment the value-init subtlety needs.
-              slots(new std::atomic<TaskScheduler::Task *>[c]())
-        {
-        }
-        TaskScheduler::Task *get(std::int64_t i) const
-        {
-            // memory_order: relaxed — slot reads/writes are ordered
-            // by the top_/bottom_ protocol, never by the slot itself
-            // (a stale read is discarded via a failed CAS).
-            return slots[static_cast<std::size_t>(i) & mask].load(
-                std::memory_order_relaxed);
-        }
-        void put(std::int64_t i, TaskScheduler::Task *t)
-        {
-            // memory_order: relaxed — see get(); the publishing
-            // store is the owner's seq_cst bottom_ bump.
-            slots[static_cast<std::size_t>(i) & mask].store(
-                t, std::memory_order_relaxed);
-        }
-        const std::size_t cap;
-        const std::size_t mask;
-        std::unique_ptr<std::atomic<TaskScheduler::Task *>[]> slots;
-    };
-
-    /** Owner only: double the ring, copying the live [t, b) window. */
-    Ring *grow(Ring *old, std::int64_t t, std::int64_t b)
-    {
-        auto bigger = std::make_unique<Ring>(old->cap * 2);
-        for (std::int64_t i = t; i < b; ++i)
-            bigger->put(i, old->get(i));
-        Ring *raw = bigger.get();
-        retired_.push_back(std::move(bigger));
-        // memory_order: release pairs with steal()'s acquire load so
-        // a thief that sees the new ring sees its copied slots.
-        buf_.store(raw, std::memory_order_release);
-        return raw;
-    }
-
-    std::atomic<std::int64_t> top_{0};
-    std::atomic<std::int64_t> bottom_{0};
-    std::atomic<Ring *> buf_;
-    /** Every ring ever used; freed only with the deque. Owner only. */
-    std::vector<std::unique_ptr<Ring>> retired_;
-};
-
-} // namespace
-
 struct TaskScheduler::Worker
 {
-    TaskDeque deque;
+    Deque deque;
     std::size_t index = 0;
 };
 
@@ -216,6 +32,72 @@ thread_local TaskScheduler::Worker *tl_worker = nullptr;
 thread_local const TaskScheduler *tl_scheduler = nullptr;
 
 } // namespace
+
+std::size_t
+TaskScheduler::Deque::push(Task t)
+{
+    LockGuard lock(mu_);
+    tasks_.push_back(std::move(t));
+    // memory_order: relaxed — the hint only lets a taker skip an empty
+    // deque; the mutex orders the task itself.
+    sizeHint_.store(tasks_.size(), std::memory_order_relaxed);
+    return tasks_.size();
+}
+
+std::optional<TaskScheduler::Task>
+TaskScheduler::Deque::takeLocked(bool back)
+{
+    if (tasks_.empty())
+        return std::nullopt;
+    std::optional<Task> t;
+    if (back) {
+        t.emplace(std::move(tasks_.back()));
+        tasks_.pop_back();
+    } else {
+        t.emplace(std::move(tasks_.front()));
+        tasks_.pop_front();
+    }
+    // memory_order: relaxed — see push().
+    sizeHint_.store(tasks_.size(), std::memory_order_relaxed);
+    return t;
+}
+
+std::optional<TaskScheduler::Task>
+TaskScheduler::Deque::popBack()
+{
+    // memory_order: relaxed — a stale nonzero hint costs one lock; a
+    // zero read is re-checked after the caller syncs on idleMu_.
+    if (sizeHint_.load(std::memory_order_relaxed) == 0)
+        return std::nullopt;
+    LockGuard lock(mu_);
+    return takeLocked(true);
+}
+
+std::optional<TaskScheduler::Task>
+TaskScheduler::Deque::popFront()
+{
+    // memory_order: relaxed — see popBack().
+    if (sizeHint_.load(std::memory_order_relaxed) == 0)
+        return std::nullopt;
+    LockGuard lock(mu_);
+    return takeLocked(false);
+}
+
+std::optional<TaskScheduler::Task>
+TaskScheduler::Deque::steal(bool &busy)
+{
+    busy = false;
+    // memory_order: relaxed — see popBack().
+    if (sizeHint_.load(std::memory_order_relaxed) == 0)
+        return std::nullopt;
+    if (!mu_.try_lock()) {
+        busy = true;
+        return std::nullopt;
+    }
+    std::optional<Task> t = takeLocked(false);
+    mu_.unlock();
+    return t;
+}
 
 TaskScheduler::TaskScheduler(int threads)
 {
@@ -237,9 +119,7 @@ TaskScheduler::~TaskScheduler()
 {
     {
         LockGuard lock(idleMu_);
-        // memory_order: release pairs with the workers' acquire loads
-        // (belt and braces — the mutex already orders the handoff).
-        stopping_.store(true, std::memory_order_release);
+        stopping_ = true;
     }
     idleCv_.notify_all();
     for (auto &t : threads_)
@@ -255,15 +135,9 @@ TaskScheduler::onWorkerThread() const
 void
 TaskScheduler::spawnImpl(std::function<void()> fn, TaskGroup *group)
 {
-    // lint-allow(naked-new): tasks cross the lock-free deque as raw
-    // pointers by design; exactly one consumer frees each in
-    // runTask() (lint-allow(naked-delete) there).
-    auto *task = new Task{std::move(fn), group,
-                          TraceRecorder::currentTrace()};
-    ready_.fetch_add(1, std::memory_order_seq_cst);
-    Worker *self = onWorkerThread() ? tl_worker : nullptr;
-    if (self) {
-        const std::size_t depth = self->deque.push(task);
+    Task task{std::move(fn), group, TraceRecorder::currentTrace()};
+    if (onWorkerThread()) {
+        const std::size_t depth = tl_worker->deque.push(std::move(task));
         // memory_order: relaxed — maxDepth_ is a monotonic gauge read
         // only by stats(); it orders nothing.
         std::size_t prev = maxDepth_.load(std::memory_order_relaxed);
@@ -272,44 +146,21 @@ TaskScheduler::spawnImpl(std::function<void()> fn, TaskGroup *group)
                    prev, depth, std::memory_order_relaxed))
             ;
     } else {
-        LockGuard lock(injectMu_);
-        injected_.push_back(task);
+        injected_.push(std::move(task));
     }
-    notifyWorkers();
-}
-
-void
-TaskScheduler::notifyWorkers()
-{
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-        // Taking the mutex pairs with the sleeper's predicate check,
-        // so the ready_ bump above cannot fall into the gap between
-        // a worker's last look and its wait.
+    {
         LockGuard lock(idleMu_);
-        idleCv_.notify_one();
+        ++ready_;
     }
+    idleCv_.notify_one();
 }
 
-TaskScheduler::Task *
-TaskScheduler::popInjected()
-{
-    LockGuard lock(injectMu_);
-    if (injectHead_ >= injected_.size())
-        return nullptr;
-    Task *t = injected_[injectHead_++];
-    if (injectHead_ == injected_.size()) {
-        injected_.clear();
-        injectHead_ = 0;
-    }
-    return t;
-}
-
-TaskScheduler::Task *
+std::optional<TaskScheduler::Task>
 TaskScheduler::stealTask(Worker *self)
 {
     const std::size_t n = workers_.size();
     if (n == 0)
-        return nullptr;
+        return std::nullopt;
     // Start the sweep after ourselves (or a thread-id-derived point
     // for external thieves) so thieves spread over victims.
     const std::size_t start =
@@ -320,64 +171,65 @@ TaskScheduler::stealTask(Worker *self)
         Worker *victim = workers_[(start + k) % n].get();
         if (victim == self)
             continue;
-        bool contended = false;
-        Task *t = victim->deque.steal(contended);
+        bool busy = false;
+        std::optional<Task> t = victim->deque.steal(busy);
         // memory_order: relaxed — steals_/stealFailures_ are stats()
         // counters only; they order nothing.
         if (t) {
             steals_.fetch_add(1, std::memory_order_relaxed);
             return t;
         }
-        if (contended)
+        if (busy)
             stealFailures_.fetch_add(1, std::memory_order_relaxed);
     }
-    return nullptr;
+    return std::nullopt;
 }
 
-TaskScheduler::Task *
+std::optional<TaskScheduler::Task>
 TaskScheduler::findTask(Worker *self)
 {
-    Task *t = self ? self->deque.pop() : nullptr;
+    std::optional<Task> t;
+    if (self)
+        t = self->deque.popBack();
     if (!t)
         t = stealTask(self);
     if (!t)
-        t = popInjected();
-    if (t)
-        ready_.fetch_sub(1, std::memory_order_seq_cst);
+        t = injected_.popFront();
+    if (t) {
+        LockGuard lock(idleMu_);
+        --ready_;
+    }
     return t;
 }
 
 void
-TaskScheduler::runTask(Task *t)
+TaskScheduler::runTask(Task &t)
 {
     // Scheduler-native task context: the spawner's ambient trace id
     // travels with the task across steals.
-    TraceRecorder::TraceScope trace(t->traceId);
-    TaskGroup *group = t->group;
+    TraceRecorder::TraceScope trace(t.traceId);
     try {
-        t->fn();
+        t.fn();
     } catch (...) {
-        if (group)
-            group->fail(std::current_exception());
+        if (t.group)
+            t.group->fail(std::current_exception());
         // Detached tasks wrap a packaged_task and cannot throw.
     }
-    // lint-allow(naked-delete): the matching lint-allow(naked-new) is
-    // in spawnImpl(); this is the pointer's unique consumer.
-    delete t;
+    // Destroy the closure before the join can release its captures.
+    t.fn = nullptr;
     // memory_order: relaxed — tasksRun_ is a stats() counter only.
     tasksRun_.fetch_add(1, std::memory_order_relaxed);
-    if (group)
-        group->finish();
+    if (t.group)
+        t.group->finish();
 }
 
 bool
 TaskScheduler::helpOne()
 {
-    Worker *self = onWorkerThread() ? tl_worker : nullptr;
-    Task *t = findTask(self);
+    std::optional<Task> t = findTask(onWorkerThread() ? tl_worker : nullptr);
     if (!t)
         return false;
-    runTask(t);
+    runTask(*t);
     return true;
 }
 
@@ -387,31 +239,17 @@ TaskScheduler::workerLoop(Worker *self)
     tl_worker = self;
     tl_scheduler = this;
     for (;;) {
-        Task *t = findTask(self);
-        if (t) {
-            runTask(t);
+        if (std::optional<Task> t = findTask(self)) {
+            runTask(*t);
             continue;
         }
+        // Sleep only while nothing is ready; a nonzero ready_ with an
+        // empty sweep means a take is in flight, so sweep again.
         LockGuard lock(idleMu_);
-        // memory_order: stopping_ is read acquire to pair with the
-        // destructor's release store; ready_/sleepers_ stay seq_cst —
-        // the sleep/notify protocol needs the store-load ordering
-        // between a spawner's ready_ bump and a sleeper's last look.
-        if (stopping_.load(std::memory_order_acquire)) {
-            if (ready_.load(std::memory_order_seq_cst) == 0)
-                return;
-            continue; // drain: tasks remain, sweep again
-        }
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        lock.wait(idleCv_, [&] {
-            return stopping_.load(std::memory_order_acquire) ||
-                   ready_.load(std::memory_order_seq_cst) > 0;
-        });
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        // memory_order: acquire — see the loop-head comment above.
-        if (stopping_.load(std::memory_order_acquire) &&
-            ready_.load(std::memory_order_seq_cst) == 0)
-            return;
+        while (ready_ == 0 && !stopping_)
+            lock.wait(idleCv_);
+        if (ready_ == 0)
+            return; // stopping, and every spawned task was taken
     }
 }
 

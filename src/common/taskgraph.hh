@@ -1,20 +1,24 @@
 /**
  * @file
  * Work-stealing task scheduler: the parallel substrate under every
- * batch/sweep/serve workload. Each worker owns a Chase-Lev–style
- * deque — tasks spawned on a worker push LIFO onto its own deque
- * (hot caches, depth-first descent into nested work), idle workers
- * steal FIFO from a victim's opposite end (the oldest, widest task),
- * and a thread joining a TaskGroup helps while waiting: it executes
- * pending tasks instead of sleeping, so a parent blocked on children
- * is itself an execution lane. The payoff over the old fixed-wave
- * ThreadPool is nested parallelism: a pFor spawned from inside
- * another pFor's task used to collapse to serial inline execution —
- * now its chunks are stealable like any other task, so per-model →
- * per-layer nesting (figure grid, runBatch) and uneven DSE points
- * fill the machine instead of serializing a wave.
+ * batch/sweep/serve workload. Each worker owns a task deque behind
+ * one mutex — tasks spawned on a worker push LIFO onto the back of
+ * its own deque (hot caches, depth-first descent into nested work),
+ * idle workers try_lock a victim and take FIFO from the front (the
+ * oldest, widest task), and a thread joining a TaskGroup helps while
+ * waiting: it executes pending tasks instead of sleeping, so a parent
+ * blocked on children is itself an execution lane. Nested pFor chunks
+ * are stealable like any other task, so per-model → per-layer nesting
+ * (figure grid, runBatch) and uneven DSE points fill the machine
+ * instead of serializing a wave.
  *
- * Three contracts carried over from the ThreadPool era:
+ * Every piece of scheduler state outside the stats counters is
+ * SMART_GUARDED_BY a smart::Mutex, so clang's thread-safety analysis
+ * checks the whole protocol. The only other atomics are one relaxed
+ * size hint per deque (thieves skip an empty victim without touching
+ * its lock) and TaskGroup's advisory failed() flag.
+ *
+ * Three contracts:
  *
  *  - Determinism: pFor partitions work by index and callers write
  *    results into pre-sized slots, so serial and stolen execution
@@ -27,9 +31,7 @@
  *    (TraceRecorder::currentTrace()) at spawn time and re-establish
  *    it around execution on whichever thread steals the task, so
  *    spans recorded inside nested parallel work attach to the
- *    originating request without per-call-site plumbing (PR 7's
- *    manual re-establishment inside parallelFor bodies is now
- *    scheduler-native).
+ *    originating request without per-call-site plumbing.
  *
  * Scheduler counters (tasks run, steals, steal failures, max deque
  * depth) are exported via stats() into the bench/metrics JSON schema
@@ -39,16 +41,18 @@
 #ifndef SMART_COMMON_TASKGRAPH_HH
 #define SMART_COMMON_TASKGRAPH_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -63,11 +67,11 @@ namespace smart
 class TaskGroup;
 
 /**
- * The scheduler: @p threads workers, one Chase-Lev deque each, plus
- * a mutex-protected injection queue for tasks spawned by threads
- * that are not workers (the serve dispatcher, bench mains, test
- * threads). Thread count 1 spawns no workers at all — every task
- * runs inline on the spawning thread.
+ * The scheduler: @p threads workers, one mutex-guarded deque each,
+ * plus an injection deque for tasks spawned by threads that are not
+ * workers (the serve dispatcher, bench mains, test threads). Thread
+ * count 1 spawns no workers at all — every task runs inline on the
+ * spawning thread.
  */
 class TaskScheduler
 {
@@ -77,7 +81,7 @@ class TaskScheduler
     {
         std::uint64_t tasksRun = 0; //!< Tasks executed to completion.
         std::uint64_t steals = 0;   //!< Tasks taken from another lane.
-        /** CAS-aborted steal attempts (contended victim top). */
+        /** Steal attempts that found a non-empty victim's lock held. */
         std::uint64_t stealFailures = 0;
         std::size_t maxDequeDepth = 0; //!< Deepest any deque grew.
     };
@@ -105,7 +109,7 @@ class TaskScheduler
      * stealable chunks. Blocks until every index ran; the first
      * exception thrown by any fn(i) is rethrown in the caller after
      * remaining indices are abandoned. Nested calls (from inside a
-     * task) spawn real stealable tasks — they no longer serialize.
+     * task) spawn real stealable tasks.
      * Determinism: indices map to pre-partitioned chunks, so writes
      * into pre-sized slot i are bit-identical to a serial loop.
      */
@@ -141,47 +145,75 @@ class TaskScheduler
      */
     bool helpOne();
 
-    // Defined in taskgraph.cc; public so the implementation's
-    // file-local deque and thread-local worker slots can name them.
-    struct Task;
+    /** One unit of work: the closure, its join group, its trace context. */
+    struct Task
+    {
+        std::function<void()> fn;
+        TaskGroup *group = nullptr; //!< Null for detached submit()s.
+        std::uint64_t traceId = 0;  //!< Spawner's ambient trace id.
+    };
+    // Defined in taskgraph.cc; public so the thread-local worker slot
+    // can name it.
     struct Worker;
 
   private:
     friend class TaskGroup;
 
+    /**
+     * A task deque behind one mutex. The owner pushes and pops at the
+     * back; thieves take the front. The relaxed size hint is written
+     * under the lock and lets a taker skip an empty deque without
+     * touching the lock; the lock re-decides every take.
+     */
+    class Deque
+    {
+      public:
+        /** Append @p t; returns the new depth for the max gauge. */
+        std::size_t push(Task t) SMART_EXCLUDES(mu_);
+        /** Owner: LIFO take from the back. */
+        std::optional<Task> popBack() SMART_EXCLUDES(mu_);
+        /** FIFO take from the front, waiting for the lock. */
+        std::optional<Task> popFront() SMART_EXCLUDES(mu_);
+        /** Thief: FIFO take if the lock is free; @p busy if it was not. */
+        std::optional<Task> steal(bool &busy) SMART_EXCLUDES(mu_);
+
+      private:
+        std::optional<Task> takeLocked(bool back) SMART_REQUIRES(mu_);
+
+        Mutex mu_;
+        std::deque<Task> tasks_ SMART_GUARDED_BY(mu_);
+        std::atomic<std::size_t> sizeHint_{0};
+    };
+
     /** Type-erased spawn: enqueue @p fn as a task owned by @p group. */
     void spawnImpl(std::function<void()> fn, TaskGroup *group);
 
-    void runTask(Task *t);
-    Task *findTask(Worker *self);
-    Task *stealTask(Worker *self);
-    Task *popInjected();
-    void notifyWorkers();
+    void runTask(Task &t);
+    std::optional<Task> findTask(Worker *self);
+    std::optional<Task> stealTask(Worker *self);
     void workerLoop(Worker *self);
 
     int width_ = 1;
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
 
     /** Tasks spawned by non-worker threads (FIFO). */
-    Mutex injectMu_;
-    /** FIFO: take from the front. */
-    std::vector<Task *> injected_ SMART_GUARDED_BY(injectMu_);
-    std::size_t injectHead_ SMART_GUARDED_BY(injectMu_) = 0;
+    Deque injected_;
 
-    /** Spawned-but-not-yet-acquired task count (wakeup predicate). */
-    std::atomic<std::size_t> ready_{0};
-    /** Pure sleep/wake plumbing; idleCv_ predicates read atomics. */
+    /** Sleep/wake plumbing: idleCv_ waits on ready_ and stopping_. */
     Mutex idleMu_;
     std::condition_variable idleCv_;
-    std::atomic<int> sleepers_{0};
-    std::atomic<bool> stopping_{false};
+    /** Spawned-but-not-yet-taken task count (the wakeup predicate). */
+    std::size_t ready_ SMART_GUARDED_BY(idleMu_) = 0;
+    bool stopping_ SMART_GUARDED_BY(idleMu_) = false;
 
     // Counters (relaxed; coarse tasks make contention irrelevant).
     std::atomic<std::uint64_t> tasksRun_{0};
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> stealFailures_{0};
     std::atomic<std::size_t> maxDepth_{0};
+
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> threads_;
 };
 
 /**
@@ -200,13 +232,7 @@ class TaskGroup
     }
 
     /** Waits for stragglers; a pending exception is dropped here. */
-    ~TaskGroup()
-    {
-        // memory_order: acquire pairs with finish()'s decrement so a
-        // zero read here means every child's effects are visible.
-        if (pending_.load(std::memory_order_acquire) != 0)
-            waitNoThrow();
-    }
+    ~TaskGroup() { drain(); }
 
     TaskGroup(const TaskGroup &) = delete;
     TaskGroup &operator=(const TaskGroup &) = delete;
@@ -228,10 +254,10 @@ class TaskGroup
             }
             return;
         }
-        // memory_order: acq_rel — the increment must be ordered
-        // against the task publish and against finish()'s matching
-        // decrement (the joiner's pending_==0 read is an acquire).
-        pending_.fetch_add(1, std::memory_order_acq_rel);
+        {
+            LockGuard lock(mu_);
+            ++pending_;
+        }
         sched_.spawnImpl(std::function<void()>(std::forward<Fn>(fn)),
                          this);
     }
@@ -244,116 +270,82 @@ class TaskGroup
      */
     void wait()
     {
-        help();
-        // memory_order: the acquire load pairs with fail()'s release
-        // store so the error_ written before the flag is visible; the
-        // release reset keeps the flag/error_ pair ordered for the
-        // next reuse of the group.
-        if (failed_.load(std::memory_order_acquire)) {
-            std::exception_ptr e;
-            {
-                LockGuard lock(errMu_);
-                std::swap(e, error_);
-                failed_.store(false, std::memory_order_release);
-            }
-            if (e)
-                std::rethrow_exception(e);
-        }
+        if (std::exception_ptr e = drain())
+            std::rethrow_exception(e);
     }
 
     /**
      * Has any child thrown? pFor chunks poll this to abandon
-     * remaining indices after a failure (the pre-refactor
-     * parallelFor contract).
+     * remaining indices after a failure.
      */
     bool failed() const
     {
         // memory_order: relaxed — an advisory early-abandon poll; the
-        // authoritative (acquire) read happens in wait().
+        // authoritative read of error_ happens under mu_ in drain().
         return failed_.load(std::memory_order_relaxed);
     }
 
   private:
     friend class TaskScheduler;
 
-    void help()
+    /**
+     * Help until pending_ reaches zero. The only exit is observing
+     * zero under mu_, and the last finish() decrements and notifies
+     * under the same lock, so no finisher can still be signalling
+     * this group after help() returns (and the group is destroyed).
+     * The 1 ms timeout lets a joiner that found nothing to run pick up
+     * tasks spawned meanwhile; it is not the wakeup path.
+     */
+    void help() SMART_EXCLUDES(mu_)
     {
-        // memory_order: every pending_ load is an acquire pairing
-        // with finish()'s acq_rel decrement, so observing zero also
-        // makes every finished child's writes visible to the joiner.
-        for (;;) {
-            if (pending_.load(std::memory_order_acquire) != 0 &&
-                sched_.helpOne())
-                continue;
-            // Nothing runnable here: the stragglers are mid-flight
-            // on other threads. The ONLY exit is observing
-            // pending_ == 0 under waitMu_ — the last finish()
-            // decrements and notifies under the same mutex, so a
-            // finisher can never still be signalling this group
-            // after we return (and possibly destroy it). The
-            // timeout is insurance, not the wakeup path.
-            LockGuard lock(waitMu_);
-            if (pending_.load(std::memory_order_acquire) == 0)
-                return;
+        LockGuard lock(mu_);
+        while (pending_ != 0) {
             lock.unlock();
-            if (sched_.helpOne())
-                continue;
+            const bool ran = sched_.helpOne();
             lock.lock();
-            // memory_order: acquire — see the loop-head comment.
-            lock.waitFor(waitCv_, std::chrono::milliseconds(1), [&] {
-                return pending_.load(std::memory_order_acquire) == 0;
-            });
-            if (pending_.load(std::memory_order_acquire) == 0)
-                return;
+            if (!ran && pending_ != 0)
+                lock.waitUntil(waitCv_, std::chrono::steady_clock::now() +
+                                            std::chrono::milliseconds(1));
         }
     }
 
-    void waitNoThrow()
+    /** Help until done, then take (and clear) the first exception. */
+    std::exception_ptr drain() SMART_EXCLUDES(mu_)
     {
         help();
-        LockGuard lock(errMu_);
-        error_ = nullptr;
-        // memory_order: release keeps the error_ reset ordered before
-        // any later acquire read of the flag (group reuse).
-        failed_.store(false, std::memory_order_release);
+        LockGuard lock(mu_);
+        // memory_order: relaxed — failed_ mirrors error_, which mu_
+        // guards; the flag itself orders nothing.
+        failed_.store(false, std::memory_order_relaxed);
+        return std::exchange(error_, nullptr);
     }
 
     /** Capture the first child exception (later ones are dropped). */
-    void fail(std::exception_ptr e)
+    void fail(std::exception_ptr e) SMART_EXCLUDES(mu_)
     {
-        LockGuard lock(errMu_);
+        LockGuard lock(mu_);
         if (!error_) {
             error_ = std::move(e);
-            // memory_order: release publishes error_ to the acquire
-            // load in wait() that observes the flag set.
-            failed_.store(true, std::memory_order_release);
+            // memory_order: relaxed — see drain().
+            failed_.store(true, std::memory_order_relaxed);
         }
     }
 
-    /**
-     * One child retired; the last one wakes the joiner. The
-     * decrement happens under waitMu_ so the joiner (whose exit
-     * check also holds waitMu_) cannot observe zero, return, and
-     * destroy the group while this thread is still signalling it.
-     */
-    void finish()
+    /** One child retired; the last one wakes the joiner. */
+    void finish() SMART_EXCLUDES(mu_)
     {
-        LockGuard lock(waitMu_);
-        // memory_order: acq_rel — releases this child's writes to the
-        // joiner's acquire load and orders the decrement against the
-        // notify below.
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        LockGuard lock(mu_);
+        if (--pending_ == 0)
             waitCv_.notify_all();
     }
 
     TaskScheduler &sched_;
-    std::atomic<std::size_t> pending_{0};
-    std::atomic<bool> failed_{false};
-    Mutex errMu_;
-    std::exception_ptr error_ SMART_GUARDED_BY(errMu_);
-    /** Orders the last finish() against the joiner's exit (help()). */
-    Mutex waitMu_;
+    Mutex mu_;
     std::condition_variable waitCv_;
+    std::size_t pending_ SMART_GUARDED_BY(mu_) = 0;
+    std::exception_ptr error_ SMART_GUARDED_BY(mu_);
+    /** Set with error_; polled lock-free by failed(). */
+    std::atomic<bool> failed_{false};
 };
 
 template <typename Fn>

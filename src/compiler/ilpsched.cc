@@ -83,19 +83,19 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
 
     for (std::size_t i = 0; i < dag.objects.size(); ++i) {
         const auto &o = dag.objects[i];
-        vars[i].h = model.addBinary("h_" + o.id());
-        vars[i].r = model.addBinary("r_" + o.id());
-        vars[i].p = model.addBinary("p_" + o.id());
-        vars[i].hp = model.addBinary("hp_" + o.id());
+        vars[i].h = model.addBinary();
+        vars[i].r = model.addBinary();
+        vars[i].p = model.addBinary();
+        vars[i].hp = model.addBinary();
 
         // Placement exclusivity (an object lives in one SPM).
         LinExpr excl;
         excl.add(vars[i].h, 1.0).add(vars[i].r, 1.0);
         if (o.cls == ObjClass::Psum) {
             // PSums must stay on chip (Eq. 6 family).
-            model.addConstr(excl, Sense::Eq, 1.0, "onchip_" + o.id());
+            model.addConstr(excl, Sense::Eq, 1.0);
         } else {
-            model.addConstr(excl, Sense::Le, 1.0, "excl_" + o.id());
+            model.addConstr(excl, Sense::Le, 1.0);
         }
 
         if (!params.hasRandomArray)
@@ -107,7 +107,7 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
         LinExpr pre_res;
         pre_res.add(vars[i].p, 1.0).add(vars[i].h, -1.0)
             .add(vars[i].r, -1.0);
-        model.addConstr(pre_res, Sense::Le, 0.0, "pres_" + o.id());
+        model.addConstr(pre_res, Sense::Le, 0.0);
 
         // hp = AND(h, p).
         LinExpr and1;
@@ -146,8 +146,7 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
             if (any) {
                 model.addConstr(
                     occ, Sense::Le,
-                    static_cast<double>(params.shiftCapacityBytes.value()),
-                    "shiftcap");
+                    static_cast<double>(params.shiftCapacityBytes.value()));
             }
         }
         // RANDOM: shared across classes, live window [n, n + a).
@@ -164,8 +163,7 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
         if (rany) {
             model.addConstr(
                 rocc, Sense::Le,
-                static_cast<double>(params.randomCapacityBytes.value()),
-                "randcap");
+                static_cast<double>(params.randomCapacityBytes.value()));
         }
 
         // Staging bandwidth: bytes entering SHIFT for iteration n must
@@ -184,8 +182,7 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
                 std::max(1, params.prefetchIterations);
             model.addConstr(stage, Sense::Le,
                             params.hrBandwidthBytesPerCycle *
-                                iter_cycles * window,
-                            "stagebw");
+                                iter_cycles * window);
         }
     }
 

@@ -21,11 +21,4 @@ objClassName(ObjClass c)
     smart_panic("unknown object class");
 }
 
-std::string
-MemoryObject::id() const
-{
-    return std::string(objClassName(cls)) + "_" +
-           std::to_string(iteration);
-}
-
 } // namespace smart::compiler

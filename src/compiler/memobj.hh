@@ -10,7 +10,6 @@
 #define SMART_COMPILER_MEMOBJ_HH
 
 #include <cstdint>
-#include <string>
 
 namespace smart::compiler
 {
@@ -38,9 +37,6 @@ struct MemoryObject
     std::uint64_t bytes = 0;    //!< Tile footprint.
     std::uint64_t accesses = 0; //!< Port accesses during the iteration.
     bool written = false;       //!< Object is produced (gamma/delta).
-
-    /** Stable identifier within a layer DAG. */
-    std::string id() const;
 };
 
 } // namespace smart::compiler

@@ -65,36 +65,31 @@ operator*(double k, LinExpr e)
 }
 
 Var
-Model::addVar(double lb, double ub, VarType type, const std::string &name)
+Model::addVar(double lb, double ub, VarType type)
 {
-    smart_assert(lb <= ub, "variable '", name, "' has lb ", lb, " > ub ",
-                 ub);
+    smart_assert(lb <= ub, "variable ", numVars(), " has lb ", lb,
+                 " > ub ", ub);
     lb_.push_back(lb);
     ub_.push_back(ub);
     types_.push_back(type);
-    names_.push_back(name.empty()
-                         ? "x" + std::to_string(lb_.size() - 1)
-                         : name);
     return Var{static_cast<int>(lb_.size() - 1)};
 }
 
 Var
-Model::addBinary(const std::string &name)
+Model::addBinary()
 {
-    return addVar(0.0, 1.0, VarType::Binary, name);
+    return addVar(0.0, 1.0, VarType::Binary);
 }
 
 void
-Model::addConstr(const LinExpr &expr, Sense sense, double rhs,
-                 const std::string &name)
+Model::addConstr(const LinExpr &expr, Sense sense, double rhs)
 {
     for (const auto &[id, c] : expr.terms()) {
-        smart_assert(id >= 0 && id < numVars(),
-                     "constraint '", name, "' references unknown var ",
-                     id);
+        smart_assert(id >= 0 && id < numVars(), "constraint ",
+                     numConstrs(), " references unknown var ", id);
         (void)c;
     }
-    constrs_.push_back(Constraint{expr, sense, rhs, name});
+    constrs_.push_back(Constraint{expr, sense, rhs});
 }
 
 void

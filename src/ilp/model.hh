@@ -10,7 +10,6 @@
 #ifndef SMART_ILP_MODEL_HH
 #define SMART_ILP_MODEL_HH
 
-#include <string>
 #include <vector>
 
 namespace smart::ilp
@@ -76,7 +75,6 @@ struct Constraint
     LinExpr expr;
     Sense sense;
     double rhs;
-    std::string name;
 };
 
 /** An ILP/LP model: variables, constraints, and a linear objective. */
@@ -84,14 +82,12 @@ class Model
 {
   public:
     /** Add a variable with bounds [lb, ub]. */
-    Var addVar(double lb, double ub, VarType type,
-               const std::string &name = "");
+    Var addVar(double lb, double ub, VarType type);
     /** Add a binary variable. */
-    Var addBinary(const std::string &name = "");
+    Var addBinary();
 
     /** Add a linear constraint. */
-    void addConstr(const LinExpr &expr, Sense sense, double rhs,
-                   const std::string &name = "");
+    void addConstr(const LinExpr &expr, Sense sense, double rhs);
 
     /** Set the objective; @p maximize selects the direction. */
     void setObjective(const LinExpr &expr, bool maximize);
@@ -107,8 +103,6 @@ class Model
     double ub(int id) const { return ub_[id]; }
     /** Type of a variable. */
     VarType type(int id) const { return types_[id]; }
-    /** Name of a variable. */
-    const std::string &varName(int id) const { return names_[id]; }
     /** All constraints. */
     const std::vector<Constraint> &constraints() const { return constrs_; }
     /** Objective expression. */
@@ -123,7 +117,6 @@ class Model
     std::vector<double> lb_;
     std::vector<double> ub_;
     std::vector<VarType> types_;
-    std::vector<std::string> names_;
     std::vector<Constraint> constrs_;
     LinExpr objective_;
     bool maximize_ = true;

@@ -95,7 +95,7 @@ Tableau::Tableau(const Model &model, const SolverOptions &opts,
     ws_.shift.assign(n_, 0.0);
     for (int j = 0; j < n_; ++j) {
         smart_assert(std::isfinite(model.lb(j)),
-                     "variable ", model.varName(j),
+                     "variable ", j,
                      " needs a finite lower bound");
         ws_.shift[j] = model.lb(j);
     }

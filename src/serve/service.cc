@@ -109,7 +109,6 @@ EvalService::EvalService(ServiceConfig cfg)
     if (cfg_.traceSampleEvery > 0) {
         TraceRecorder::Config tc;
         tc.sampleEvery = cfg_.traceSampleEvery;
-        tc.ringSlots = cfg_.traceRingSlots;
         tc.incidentLogCap = cfg_.incidentLogCap;
         TraceRecorder::global().configure(tc);
     }

@@ -163,8 +163,6 @@ struct ServiceConfig
      * configuration.
      */
     std::uint64_t traceSampleEvery = 0;
-    /** Tracer per-thread ring capacity in events (rounded to 2^k). */
-    std::size_t traceRingSlots = 4096;
     /** Most flight-recorder incidents retained (FIFO eviction). */
     std::size_t incidentLogCap = 32;
 };

@@ -172,6 +172,19 @@ TEST(Perf, DepthwiseUtilizationIsPoor)
 }
 
 /** Parameterized per-model smoke: every scheme completes. */
+TEST(PerfDeathTest, InvalidConfigPanicsWithReason)
+{
+    // A default-constructed config has zero-bank SPMs; evaluating it
+    // must panic with the reason, not divide by zero. The threadsafe
+    // style re-executes the binary, so the child gets fresh workers.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const AcceleratorConfig bad;
+    const auto layer = cnn::makeModel("AlexNet").layers.front();
+    EXPECT_DEATH(runLayer(bad, layer, 1), "SPM bank count");
+    EXPECT_DEATH(runInference(bad, cnn::makeModel("AlexNet"), 1),
+                 "SPM bank count");
+}
+
 class SchemeModelSweep
     : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {

@@ -29,10 +29,6 @@ TEST(MemObj, ClassNamesAreGreek)
     EXPECT_STREQ(objClassName(ObjClass::Input), "beta");
     EXPECT_STREQ(objClassName(ObjClass::Output), "gamma");
     EXPECT_STREQ(objClassName(ObjClass::Psum), "delta");
-    MemoryObject o;
-    o.cls = ObjClass::Input;
-    o.iteration = 3;
-    EXPECT_EQ(o.id(), "beta_3");
 }
 
 TEST(Dag, NodeSequenceMatchesFig15)

@@ -19,8 +19,8 @@ TEST(Simplex, TextbookMaximization)
 {
     // max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> (1.6, 1.2), obj 2.8.
     Model m;
-    Var x = m.addVar(0, 1e30, VarType::Continuous, "x");
-    Var y = m.addVar(0, 1e30, VarType::Continuous, "y");
+    Var x = m.addVar(0, 1e30, VarType::Continuous);
+    Var y = m.addVar(0, 1e30, VarType::Continuous);
     m.addConstr(LinExpr().add(x, 1).add(y, 2), Sense::Le, 4);
     m.addConstr(LinExpr().add(x, 3).add(y, 1), Sense::Le, 6);
     m.setObjective(LinExpr().add(x, 1).add(y, 1), true);
@@ -36,8 +36,8 @@ TEST(Simplex, MinimizationWithEquality)
 {
     // min 2x + 3y s.t. x + y == 10, x <= 6 -> (6, 4), obj 24.
     Model m;
-    Var x = m.addVar(0, 6, VarType::Continuous, "x");
-    Var y = m.addVar(0, 1e30, VarType::Continuous, "y");
+    Var x = m.addVar(0, 6, VarType::Continuous);
+    Var y = m.addVar(0, 1e30, VarType::Continuous);
     m.addConstr(LinExpr().add(x, 1).add(y, 1), Sense::Eq, 10);
     m.setObjective(LinExpr().add(x, 2).add(y, 3), false);
 
@@ -50,7 +50,7 @@ TEST(Simplex, GreaterThanConstraints)
 {
     // min x s.t. x >= 3.5 -> 3.5.
     Model m;
-    Var x = m.addVar(0, 100, VarType::Continuous, "x");
+    Var x = m.addVar(0, 100, VarType::Continuous);
     m.addConstr(LinExpr(x), Sense::Ge, 3.5);
     m.setObjective(LinExpr(x), false);
     Solution s = solveLp(m);
@@ -61,7 +61,7 @@ TEST(Simplex, GreaterThanConstraints)
 TEST(Simplex, DetectsInfeasible)
 {
     Model m;
-    Var x = m.addVar(0, 1, VarType::Continuous, "x");
+    Var x = m.addVar(0, 1, VarType::Continuous);
     m.addConstr(LinExpr(x), Sense::Ge, 2);
     m.setObjective(LinExpr(x), true);
     EXPECT_EQ(solveLp(m).status, SolveStatus::Infeasible);
@@ -71,7 +71,7 @@ TEST(Simplex, DetectsUnbounded)
 {
     Model m;
     Var x = m.addVar(0, std::numeric_limits<double>::infinity(),
-                     VarType::Continuous, "x");
+                     VarType::Continuous);
     m.addConstr(LinExpr(x), Sense::Ge, 1);
     m.setObjective(LinExpr(x), true);
     EXPECT_EQ(solveLp(m).status, SolveStatus::Unbounded);
@@ -81,8 +81,8 @@ TEST(Simplex, ShiftedLowerBounds)
 {
     // Variables with nonzero lower bounds are handled by shifting.
     Model m;
-    Var x = m.addVar(2, 10, VarType::Continuous, "x");
-    Var y = m.addVar(-5, 5, VarType::Continuous, "y");
+    Var x = m.addVar(2, 10, VarType::Continuous);
+    Var y = m.addVar(-5, 5, VarType::Continuous);
     m.addConstr(LinExpr().add(x, 1).add(y, 1), Sense::Le, 6);
     m.setObjective(LinExpr().add(x, 1).add(y, 2), true);
     Solution s = solveLp(m);
@@ -98,8 +98,8 @@ TEST(Simplex, NegativeRhsNormalized)
 {
     // x - y <= -1 with x, y in [0, 10]: feasible (y >= x + 1).
     Model m;
-    Var x = m.addVar(0, 10, VarType::Continuous, "x");
-    Var y = m.addVar(0, 10, VarType::Continuous, "y");
+    Var x = m.addVar(0, 10, VarType::Continuous);
+    Var y = m.addVar(0, 10, VarType::Continuous);
     m.addConstr(LinExpr().add(x, 1).add(y, -1), Sense::Le, -1);
     m.setObjective(LinExpr().add(x, 1), true);
     Solution s = solveLp(m);
@@ -111,7 +111,7 @@ TEST(Simplex, DuplicateTermsAccumulate)
 {
     // 2x expressed as x + x.
     Model m;
-    Var x = m.addVar(0, 10, VarType::Continuous, "x");
+    Var x = m.addVar(0, 10, VarType::Continuous);
     LinExpr e;
     e.add(x, 1).add(x, 1);
     m.addConstr(e, Sense::Le, 6);
@@ -124,8 +124,8 @@ TEST(Simplex, DuplicateTermsAccumulate)
 TEST(Simplex, OperatorSyntax)
 {
     Model m;
-    Var x = m.addVar(0, 4, VarType::Continuous, "x");
-    Var y = m.addVar(0, 4, VarType::Continuous, "y");
+    Var x = m.addVar(0, 4, VarType::Continuous);
+    Var y = m.addVar(0, 4, VarType::Continuous);
     LinExpr e = 3.0 * x + 2.0 * LinExpr(y) - 1.0 * x;
     m.addConstr(e, Sense::Le, 10); // 2x + 2y <= 10
     m.setObjective(LinExpr(x) + LinExpr(y), true);
@@ -159,7 +159,7 @@ TEST(Simplex, DuplicateTermsCancellingToZeroMidExpression)
     // the row assembly must still record the net 3.0 coefficient
     // rather than dropping the constraint.
     Model m;
-    Var x = m.addVar(0, 100, VarType::Continuous, "x");
+    Var x = m.addVar(0, 100, VarType::Continuous);
     LinExpr e;
     e.add(x, 2.0).add(x, -2.0).add(x, 3.0);
     m.addConstr(e, Sense::Le, 6.0);
@@ -174,7 +174,7 @@ TEST(Simplex, DuplicateTermsWithShiftedLowerBound)
     // Same cancellation pattern with a nonzero lower bound: the rhs
     // shift adjustment must use the net coefficient exactly once.
     Model m;
-    Var x = m.addVar(1, 100, VarType::Continuous, "x");
+    Var x = m.addVar(1, 100, VarType::Continuous);
     LinExpr e;
     e.add(x, 5.0).add(x, -5.0).add(x, 2.0);
     m.addConstr(e, Sense::Le, 10.0);

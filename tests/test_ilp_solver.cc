@@ -22,9 +22,9 @@ TEST(Bnb, SmallKnapsack)
 {
     // max 10a + 6b + 4c s.t. 5a + 4b + 3c <= 10 -> a=b=1, obj 16.
     Model m;
-    Var a = m.addBinary("a");
-    Var b = m.addBinary("b");
-    Var c = m.addBinary("c");
+    Var a = m.addBinary();
+    Var b = m.addBinary();
+    Var c = m.addBinary();
     m.addConstr(LinExpr().add(a, 5).add(b, 4).add(c, 3), Sense::Le, 10);
     m.setObjective(LinExpr().add(a, 10).add(b, 6).add(c, 4), true);
     Solution s = solve(m);
@@ -39,8 +39,8 @@ TEST(Bnb, IntegerVariables)
 {
     // max 3x + 2y s.t. x + y <= 4.5, x,y integer in [0,4].
     Model m;
-    Var x = m.addVar(0, 4, VarType::Integer, "x");
-    Var y = m.addVar(0, 4, VarType::Integer, "y");
+    Var x = m.addVar(0, 4, VarType::Integer);
+    Var y = m.addVar(0, 4, VarType::Integer);
     m.addConstr(LinExpr().add(x, 1).add(y, 1), Sense::Le, 4.5);
     m.setObjective(LinExpr().add(x, 3).add(y, 2), true);
     Solution s = solve(m);
@@ -51,7 +51,7 @@ TEST(Bnb, IntegerVariables)
 TEST(Bnb, ContinuousFallsThroughToLp)
 {
     Model m;
-    Var x = m.addVar(0, 10, VarType::Continuous, "x");
+    Var x = m.addVar(0, 10, VarType::Continuous);
     m.setObjective(LinExpr(x), true);
     Solution s = solve(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
@@ -63,7 +63,7 @@ TEST(Bnb, InfeasibleInteger)
 {
     // x binary with 0.3 <= x <= 0.7 has no integral point.
     Model m;
-    Var x = m.addBinary("x");
+    Var x = m.addBinary();
     m.addConstr(LinExpr(x), Sense::Ge, 0.3);
     m.addConstr(LinExpr(x), Sense::Le, 0.7);
     m.setObjective(LinExpr(x), true);

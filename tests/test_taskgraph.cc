@@ -114,6 +114,31 @@ TEST(TaskGraphStress, StealStormUnderIlpStallsStaysDeterministic)
         << "a stall storm on 4 lanes must provoke actual steals";
 }
 
+TEST(TaskGraphStress, ThiefTakesChildFromBusyOwnersDeque)
+{
+    // A task rooted on a worker pushes one child onto its own deque
+    // and then spins WITHOUT helping until the child has run. On two
+    // lanes the only thread that can run that child is the other
+    // worker, by stealing it from the busy owner's deque; the test
+    // thread is blocked in get() and never helps.
+    TaskScheduler sched(2);
+    auto root = [&sched] {
+        std::atomic<bool> ran{false};
+        TaskGroup group(sched);
+        group.run([&ran] { ran = true; });
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!ran && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        const bool seen = ran;
+        group.wait(); // runs the child itself if nobody stole it
+        return seen;
+    };
+    EXPECT_TRUE(sched.submit(root).get())
+        << "no thief took the child within 10 s";
+    EXPECT_GE(sched.stats().steals, 1u);
+}
+
 TEST(TaskGraphStress, ExceptionFromStolenTaskPropagatesToJoiner)
 {
     TaskScheduler sched(4);
