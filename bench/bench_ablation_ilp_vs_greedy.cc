@@ -3,21 +3,94 @@
  * Ablation (DESIGN.md Sec. 4): the ILP scheduler vs the greedy
  * allocator on every layer of every model — objective values and the
  * prefetch coverage each achieves.
+ *
+ * With --layers it instead prints one tab-separated row per distinct
+ * layer ILP that SMART evaluation solves: the six CNNs on makeSmart(),
+ * with the scheduler parameters runLayer uses. The schedule does not
+ * depend on the batch, so a layer shape is one ILP at batch 1 and at
+ * the paper batch. Each row gives the solve's status, objective
+ * (hexfloat), B&B nodes, simplex pivots, the schedule's gap bound and
+ * prefetched fraction, and runLayer's cycles at both batches.
+ * scripts/layer_diff.py compares two such dumps.
  */
 
+#include <cstdio>
 #include <iostream>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "bench_util.hh"
 #include "compiler/greedy.hh"
 #include "compiler/ilpsched.hh"
+#include "ilp/solver.hh"
+
+namespace
+{
+
+using namespace smart;
+
+/** Every layer-shape field the schedule depends on. */
+std::string
+shapeKey(const systolic::ConvLayer &l)
+{
+    std::ostringstream key;
+    key << l.ifmapH << 'x' << l.ifmapW << 'x' << l.inChannels << 'f'
+        << l.filters << 'k' << l.kernelH << 'x' << l.kernelW << 's'
+        << l.stride << 'p' << l.pad << 'd' << l.depthwise;
+    return key.str();
+}
+
+/** The per-layer dump behind --layers. */
+int
+dumpLayers()
+{
+    const accel::AcceleratorConfig cfg = accel::makeSmart();
+    const compiler::SchedParams params = accel::schedParams(cfg);
+    const ilp::SolverOptions opts = compiler::ilpSolverOptions();
+    std::printf("# model\tlayer\tstatus\tobjective\tnodes\tpivots\t"
+                "gap_bound\tprefetched\tcycles_b1\tpaper_batch\t"
+                "cycles_paper\n");
+    std::set<std::string> seen;
+    for (const auto &name : cnn::modelNames()) {
+        const auto model = cnn::convLayersOnly(cnn::makeModel(name));
+        const int paper = cnn::paperBatchSize(name, false);
+        for (const auto &layer : model.layers) {
+            if (!seen.insert(shapeKey(layer)).second)
+                continue;
+            const compiler::LayerDag dag = compiler::buildLayerDag(
+                layer, systolic::analyzeDemand(layer, cfg.pe));
+            const ilp::Solution sol =
+                ilp::solve(compiler::buildIlpModel(dag, params), opts);
+            const compiler::Schedule sched =
+                compiler::scheduleIlp(dag, params);
+            std::printf(
+                "%s\t%s\t%s\t%a\t%d\t%d\t%.9g\t%.9g\t%llu\t%d\t%llu\n",
+                name.c_str(), layer.name.c_str(),
+                ilp::statusName(sol.status), sol.objective, sol.bnbNodes,
+                sol.simplexIters, sched.gapBound,
+                sched.prefetchedFraction(dag),
+                static_cast<unsigned long long>(
+                    accel::runLayer(cfg, layer, 1).totalCycles),
+                paper,
+                static_cast<unsigned long long>(
+                    accel::runLayer(cfg, layer, paper).totalCycles));
+        }
+    }
+    return 0;
+}
+
+} // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace smart;
     using namespace smart::compiler;
 
     setInformEnabled(false);
+    if (argc > 1 && std::string(argv[1]) == "--layers")
+        return dumpLayers();
 
     SchedParams params;
     params.shiftCapacityBytes = ByteCount{32 * 1024};

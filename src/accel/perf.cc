@@ -139,6 +139,26 @@ randomTiming(const AcceleratorConfig &cfg, const SpmSpec &spec,
     return rt;
 }
 
+/**
+ * Fill @p sp with the scheduler's view of @p cfg, whose RANDOM array
+ * times as @p rt: the one derivation behind runLayer and schedParams.
+ */
+void
+fillSchedParams(compiler::SchedParams &sp, const AcceleratorConfig &cfg,
+                const RandomTiming &rt)
+{
+    sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
+    sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
+    sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
+    sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
+    sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
+    sp.hrBandwidthBytesPerCycle =
+        rt.banks * rt.lineBytes / rt.busyReadCycles;
+    sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
+    sp.prefetchIterations = cfg.prefetchIterations;
+    sp.hasRandomArray = true;
+}
+
 // ----------------------------------------------------------------
 // ILP schedule memoization: the schedule depends only on the layer
 // shape and the scheduler parameters, so sensitivity sweeps and batch
@@ -258,6 +278,15 @@ weightDram(const AcceleratorConfig &cfg,
 }
 
 } // namespace
+
+compiler::SchedParams
+schedParams(const AcceleratorConfig &cfg)
+{
+    compiler::SchedParams sp;
+    fillSchedParams(sp, cfg,
+                    randomTiming(cfg, cfg.randomArray, cfg.randomTech));
+    return sp;
+}
 
 void
 clearIlpCache()
@@ -403,16 +432,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
             compiler::SchedParams sp;
-            sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
-            sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
-            sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
-            sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
-            sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
-            sp.hrBandwidthBytesPerCycle =
-                rt.banks * rt.lineBytes / rt.busyReadCycles;
-            sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
-            sp.prefetchIterations = cfg.prefetchIterations;
-            sp.hasRandomArray = true;
+            fillSchedParams(sp, cfg, rt);
             const SchedOutcome out =
                 cachedScheduleOutcome(layer, cfg.pe, d, sp, mode);
             hidden = out.hidden;

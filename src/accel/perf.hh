@@ -120,6 +120,13 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
                      SchedMode mode = SchedMode::Ilp);
 
 /**
+ * Scheduler parameters for the layer ILPs of a compiler-scheduled
+ * scheme (SMART): SPM capacities, access costs and the RANDOM->SHIFT
+ * staging bandwidth of @p cfg. runLayer schedules with these.
+ */
+compiler::SchedParams schedParams(const AcceleratorConfig &cfg);
+
+/**
  * Clear the process-global schedule memo, so the next evaluation
  * solves every layer cold (tests, benches and perfbench call this).
  */

@@ -26,7 +26,7 @@ struct ObjVars
     ilp::Var hp; //!< AND(h, p): SHIFT-resident and prefetched.
 };
 
-/** Handles of object @p i: buildIlpModel adds four binaries per object. */
+/** Handles of object @p i: buildIlpModel adds four variables per object. */
 ObjVars
 objVars(std::size_t i)
 {
@@ -86,7 +86,9 @@ buildIlpModel(const LayerDag &dag, const SchedParams &params)
         vars[i].h = model.addBinary();
         vars[i].r = model.addBinary();
         vars[i].p = model.addBinary();
-        vars[i].hp = model.addBinary();
+        // Continuous: once h and p are integral, the AND rows below
+        // pin hp to h * p, so B&B never needs to branch on it.
+        vars[i].hp = model.addVar(0.0, 1.0, ilp::VarType::Continuous);
 
         // Placement exclusivity (an object lives in one SPM).
         LinExpr excl;
@@ -220,7 +222,7 @@ ilp::SolverOptions
 ilpSolverOptions()
 {
     ilp::SolverOptions opts;
-    opts.maxBnbNodes = 200;
+    opts.maxBnbNodes = 250;
     // A 0.5 % optimality gap is far below the model's fidelity and
     // keeps per-layer scheduling in the milliseconds.
     opts.gapTol = 5e-3;

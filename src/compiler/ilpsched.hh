@@ -18,9 +18,9 @@ namespace smart::compiler
 {
 
 /**
- * The layer's Eq. 5-6 model as scheduleIlp solves it: four binaries
- * per memory object, with h, r, p and hp of object i at variable ids
- * 4i .. 4i+3.
+ * The layer's Eq. 5-6 model as scheduleIlp solves it: per memory
+ * object, three binaries h, r and p plus a continuous hp in [0, 1]
+ * that the AND rows force to h * p, at variable ids 4i .. 4i+3.
  */
 ilp::Model buildIlpModel(const LayerDag &dag, const SchedParams &params);
 

@@ -1,13 +1,24 @@
 /**
  * @file
- * Two-phase primal simplex for the LP relaxations used by the
- * branch-and-bound ILP solver. Dantzig pricing with a Bland's-rule
- * fallback for anti-cycling; variable bounds are folded into the
- * tableau (lower bounds by shifting, upper bounds as explicit rows).
- * The tableau is stored flat but walked through row and column
+ * Simplex for the LP relaxations used by the branch-and-bound ILP
+ * solver.
+ *
+ * solveLp is a cold two-phase primal simplex: Dantzig pricing with a
+ * Bland's-rule fallback for anti-cycling; variable bounds are folded
+ * into the tableau (lower bounds by shifting, upper bounds as explicit
+ * rows). The tableau is stored flat but walked through row and column
  * sparsity patterns, so a pivot costs work in its nonzeros rather than
  * in the tableau's size, while taking the same pivots a dense sweep
  * would.
+ *
+ * resolveLp warm-starts from the optimal tableau a workspace already
+ * holds. The model may differ from the one that tableau was built for
+ * only in its variable bounds. A bound change moves the right-hand
+ * side, never the reduced costs, so the old basis stays dual feasible;
+ * each change enters the rhs through B^-1, whose columns are the
+ * initial slack and artificial identity columns (pivots keep them
+ * current). Dual simplex pivots then restore primal feasibility, and a
+ * primal pass cleans up any reduced cost left past the tolerance.
  */
 
 #ifndef SMART_ILP_SIMPLEX_HH
@@ -66,11 +77,15 @@ struct Solution
 
     /** Value of a variable in this solution. */
     double value(Var v) const { return values[v.id]; }
-    /** True if the solve produced a usable assignment. */
+    /**
+     * True if the solve produced a usable assignment: optimal, or
+     * stopped at the node limit with an incumbent in hand.
+     */
     bool feasible() const
     {
-        return status == SolveStatus::Optimal ||
-               status == SolveStatus::NodeLimit;
+        return (status == SolveStatus::Optimal ||
+                status == SolveStatus::NodeLimit) &&
+               !values.empty();
     }
 };
 
@@ -79,8 +94,10 @@ struct Solution
  * of structurally identical LPs that differ only in variable bounds;
  * routing them through one workspace reuses every row/column
  * allocation (tableau, patterns, rhs, basis, pricing vectors, assembly
- * buffers) instead of reallocating per node. A workspace may be reused
- * across models of any size; it must not be shared between threads.
+ * buffers) instead of reallocating per node, and keeps the last
+ * optimal tableau for resolveLp to warm-start from. A workspace may be
+ * reused across models of any size; it must not be shared between
+ * threads.
  */
 struct LpWorkspace
 {
@@ -96,6 +113,7 @@ struct LpWorkspace
     // cleared, never freed, so B&B nodes reuse their capacity.
     std::vector<std::vector<int>> rowCols;
     std::vector<std::vector<int>> colRows;
+    long patternCells = 0; //!< Cells on the patterns.
     // Layout of the last solve, whose pattern cells the next solve
     // clears instead of zero-filling the whole tableau.
     int layoutRows = 0;
@@ -116,17 +134,53 @@ struct LpWorkspace
     std::vector<double> accum;
     std::vector<signed char> inRow; //!< Membership marker for accum.
     std::vector<int> touched;
+    int stampTag = 0; //!< Last stamp tag handed out.
+
+    // Warm-start state: what the rows of the held tableau mean, so
+    // resolveLp can move bound changes into its rhs.
+    int firstArtificial = 0;
+    int modelRows = 0; //!< Rows from constraints; the rest are ub rows.
+    /**
+     * Per row, the column that was its initial basic slack or
+     * artificial. Its current column is B^-1's column for that row.
+     */
+    std::vector<int> identityCol;
+    std::vector<int> ubRow;      //!< Per variable: its ub row, or -1.
+    std::vector<double> ub;      //!< Upper bounds the rhs reflects.
+    // The normalized constraint rows' coefficients by column (CSC).
+    std::vector<int> cscPtr;
+    std::vector<int> cscRows;
+    std::vector<double> cscVals;
+    /**
+     * The tableau holds a dual-feasible phase-2 basis with current
+     * reduced costs in red and phase-2 costs in cost.
+     */
+    bool warm = false;
 };
 
 /** Solve the LP relaxation of @p model (integrality ignored). */
 Solution solveLp(const Model &model, const SolverOptions &opts = {});
 
 /**
- * Solve the LP relaxation reusing @p ws across calls (the B&B hot
- * path). Results are identical to the workspace-free overload.
+ * Solve the LP relaxation cold, reusing @p ws's buffers. Results are
+ * identical to the workspace-free overload. Leaves @p ws warm when the
+ * LP is optimal.
  */
 Solution solveLp(const Model &model, const SolverOptions &opts,
                  LpWorkspace &ws);
+
+/**
+ * Re-solve the LP relaxation from the tableau @p ws holds (the B&B hot
+ * path). @p model must be the model of @p ws's last solve with only
+ * its variable bounds changed. Falls back to a cold solveLp when @p ws
+ * is not warm, a bound change would change the row layout, the
+ * tableau's fill-in covers more than a quarter of its cells, the warm
+ * pivots outnumber rows plus columns, or a basic artificial leaves
+ * zero. The status matches a cold solve's and the objective agrees to
+ * rounding, but a degenerate LP may land on another optimal vertex.
+ */
+Solution resolveLp(const Model &model, const SolverOptions &opts,
+                   LpWorkspace &ws);
 
 } // namespace smart::ilp
 

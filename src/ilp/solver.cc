@@ -139,7 +139,8 @@ struct NodeOrder
  * incrementally.
  */
 Solution
-solve(const Model &model, const SolverOptions &opts)
+solve(const Model &model, const SolverOptions &opts,
+      const NodeHook &onNode)
 {
     const std::vector<int> int_vars = integerVars(model);
     if (int_vars.empty()) {
@@ -211,8 +212,27 @@ solve(const Model &model, const SolverOptions &opts)
             work.setBounds(b.var, b.lb, b.ub);
         }
 
-        Solution relax = solveLp(work, opts, ws);
+        // The root solves cold; every later node re-optimizes the
+        // tableau the previous node left.
+        Solution relax = resolveLp(work, opts, ws);
         total_iters += relax.simplexIters;
+        int branch = -1;
+        if (relax.status == SolveStatus::Optimal) {
+            branch = pickBranchVar(int_vars, relax.values, opts.intTol);
+            // An integral vertex becomes an incumbent only once its
+            // snapped values pass the node's model. A warm vertex that
+            // fails is re-solved cold, whose vertex is taken as is.
+            if (branch < 0 && nodes > 1 &&
+                !roundedFeasible(work, relax.values, 1e-6)) {
+                relax = solveLp(work, opts, ws);
+                total_iters += relax.simplexIters;
+                if (relax.status == SolveStatus::Optimal)
+                    branch =
+                        pickBranchVar(int_vars, relax.values, opts.intTol);
+            }
+        }
+        if (onNode)
+            onNode(work, relax);
         if (!have_root_bound && relax.status == SolveStatus::Optimal) {
             root_bound = dir * relax.objective;
             have_root_bound = true;
@@ -224,13 +244,16 @@ solve(const Model &model, const SolverOptions &opts)
             prune = true; // bound: cannot beat the incumbent
 
         if (!prune) {
-            const int branch =
-                pickBranchVar(int_vars, relax.values, opts.intTol);
             if (branch < 0) {
-                // Integral solution: new incumbent.
+                // Integral solution: snap the integer variables to
+                // exact integers and price the snapped point, so the
+                // incumbent carries no LP rounding residue.
+                for (int j : int_vars)
+                    relax.values[j] = std::round(relax.values[j]);
+                relax.objective = objectiveOf(model, relax.values);
                 if (!have_incumbent ||
                     dir * relax.objective > dir * best.objective) {
-                    best = relax;
+                    best = std::move(relax);
                     have_incumbent = true;
                 }
             } else {
@@ -279,7 +302,9 @@ solve(const Model &model, const SolverOptions &opts)
 
     best.bnbNodes = nodes;
     best.simplexIters = total_iters;
-    if (have_incumbent && node_limit_hit)
+    // A capped search is NodeLimit with or without an incumbent; only
+    // an exhausted one proves infeasibility.
+    if (node_limit_hit)
         best.status = SolveStatus::NodeLimit;
     // Report the root relaxation back in the model's direction so
     // callers can bound the gap of gapTol / node-limit incumbents.

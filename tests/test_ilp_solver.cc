@@ -127,6 +127,30 @@ TEST(Bnb, GapToleranceAcceptsEarly)
     EXPECT_LE(s_loose.bnbNodes, s_exact.bnbNodes);
 }
 
+TEST(Bnb, NodeCapWithoutIncumbentIsNodeLimit)
+{
+    // max x + y + z s.t. 2x + 2y + 2z <= 3: the root LP is fractional
+    // (x = 1, y = 0.5) and rounds to an infeasible point, so one node
+    // ends the search with no incumbent.
+    Model m;
+    Var x = m.addBinary();
+    Var y = m.addBinary();
+    Var z = m.addBinary();
+    m.addConstr(LinExpr().add(x, 2).add(y, 2).add(z, 2), Sense::Le, 3);
+    m.setObjective(LinExpr().add(x, 1).add(y, 1).add(z, 1), true);
+    SolverOptions capped;
+    capped.maxBnbNodes = 1;
+    const Solution s = solve(m, capped);
+    EXPECT_EQ(s.status, SolveStatus::NodeLimit);
+    EXPECT_EQ(s.bnbNodes, 1);
+    EXPECT_TRUE(s.values.empty());
+    EXPECT_FALSE(s.feasible());
+    // Uncapped, the same model has an optimum.
+    const Solution full = solve(m);
+    ASSERT_EQ(full.status, SolveStatus::Optimal);
+    EXPECT_EQ(full.objective, 1.0);
+}
+
 /**
  * Property test: random 0/1 knapsacks with two constraints, checked
  * against brute-force enumeration.

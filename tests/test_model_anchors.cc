@@ -11,6 +11,13 @@
  * paper reproduction moved, which must be a deliberate, documented
  * model change, never refactoring fallout.
  *
+ * The SMART AlexNet values were re-pinned when B&B node LPs became
+ * warm-started (199,807 -> 200,100 cycles). AlexNet conv2's ILP stops
+ * at the node cap either way; with the cap at 250 nodes its incumbent
+ * has a 6e-6 lower Eq. 5 objective and prefetches 87.6% of its staged
+ * bytes instead of 88.5%. runLayer prices that hidden fraction, not
+ * the objective, so the layer takes 46,491 cycles instead of 46,198.
+ *
  * Anchored surfaces: SMART-scheme inference perf (cycles, latency,
  * throughput), the energy breakdown behind Figs. 20/21, and one
  * cryomem DSE pipeline-frequency sweep (Fig. 12 machinery).
@@ -34,9 +41,9 @@ TEST(ModelAnchors, SmartAlexNetInferenceIsBitExact)
     const auto model = cnn::convLayersOnly(cnn::makeAlexNet());
     const auto r = accel::runInference(cfg, model, 1);
 
-    EXPECT_EQ(r.totalCycles, 199807u);
-    EXPECT_EQ(r.seconds, 0x1.fdd751fa96ea4p-19);
-    EXPECT_EQ(r.throughputTmacs(), 0x1.1b6da44b23c66p+8);
+    EXPECT_EQ(r.totalCycles, 200100u);
+    EXPECT_EQ(r.seconds, 0x1.fe96b73a212efp-19);
+    EXPECT_EQ(r.throughputTmacs(), 0x1.1b0365dfefe11p+8);
 }
 
 TEST(ModelAnchors, SmartAlexNetEnergyBreakdownIsBitExact)
@@ -48,7 +55,7 @@ TEST(ModelAnchors, SmartAlexNetEnergyBreakdownIsBitExact)
 
     EXPECT_EQ(e.matrixJ.value(), 0x1.ce692d0f92892p-24);
     EXPECT_EQ(e.spmDynamicJ.value(), 0x1.859a9fea690b1p-23);
-    EXPECT_EQ(e.spmStaticJ.value(), 0x1.7a4cf47e30ff1p-25);
+    EXPECT_EQ(e.spmStaticJ.value(), 0x1.7adaf84ee8c1p-25);
     EXPECT_EQ(e.dramJ.value(), 0x0p+0);
 }
 
