@@ -3,16 +3,16 @@
 
     ./build/bench_ablation_ilp_vs_greedy --layers > base.tsv   # parent
     ./build/bench_ablation_ilp_vs_greedy --layers > change.tsv
-    python3 scripts/layer_diff.py base.tsv change.tsv [--tol 1e-3]
+    python3 scripts/layer_diff.py base.tsv change.tsv
 
 Rows are matched on (model, layer). Every row whose status or
-objective moved past --same (relative) is listed with both sides'
+objective moved past SAME (1e-9 relative) is listed with both sides'
 status, objective, nodes, prefetched fraction and batch-1 cycles. A
 row is flagged when its objective (maximized) drops
 
-  * past --same, where the base proved the layer under its node cap
+  * past SAME, where the base proved the layer under its node cap
     (status "optimal"), or
-  * past --tol, where the base stopped at the cap.
+  * past TOL (1e-3 relative), where the base stopped at the cap.
 
 The summary gives row counts, status changes and total nodes and
 pivots on each side. The exit status is 1 when a row is flagged or
@@ -21,6 +21,12 @@ the two dumps cover different layers, else 0.
 
 import argparse
 import sys
+
+# Relative objective change below which a row has not moved.
+SAME = 1e-9
+# Largest relative objective drop allowed on a layer the base stopped at
+# its node cap.
+TOL = 1e-3
 
 FIELDS = ("model", "layer", "status", "objective", "nodes", "pivots",
           "gap_bound", "prefetched", "cycles_b1", "paper_batch",
@@ -55,12 +61,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base")
     ap.add_argument("change")
-    ap.add_argument("--tol", type=float, default=1e-3,
-                    help="largest relative objective drop allowed on a "
-                         "layer the base stopped at its node cap")
-    ap.add_argument("--same", type=float, default=1e-9,
-                    help="relative objective change below which a row "
-                         "has not moved")
     args = ap.parse_args()
 
     base = load(args.base)
@@ -79,13 +79,13 @@ def main():
     for key in sorted(set(base) & set(change)):
         b, c = base[key], change[key]
         d = rel(c["objective"], b["objective"])
-        if abs(d) <= args.same and b["status"] == c["status"]:
+        if abs(d) <= SAME and b["status"] == c["status"]:
             continue
         moved += 1
         flag = ""
-        if b["status"] == "optimal" and d < -args.same:
+        if b["status"] == "optimal" and d < -SAME:
             flag = "DROP (base proven)"
-        elif d < -args.tol:
+        elif d < -TOL:
             flag = "DROP > tol"
         if flag:
             flagged += 1

@@ -139,26 +139,6 @@ randomTiming(const AcceleratorConfig &cfg, const SpmSpec &spec,
     return rt;
 }
 
-/**
- * Fill @p sp with the scheduler's view of @p cfg, whose RANDOM array
- * times as @p rt: the one derivation behind runLayer and schedParams.
- */
-void
-fillSchedParams(compiler::SchedParams &sp, const AcceleratorConfig &cfg,
-                const RandomTiming &rt)
-{
-    sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
-    sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
-    sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
-    sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
-    sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
-    sp.hrBandwidthBytesPerCycle =
-        rt.banks * rt.lineBytes / rt.busyReadCycles;
-    sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
-    sp.prefetchIterations = cfg.prefetchIterations;
-    sp.hasRandomArray = true;
-}
-
 // ----------------------------------------------------------------
 // ILP schedule memoization: the schedule depends only on the layer
 // shape and the scheduler parameters, so sensitivity sweeps and batch
@@ -282,9 +262,19 @@ weightDram(const AcceleratorConfig &cfg,
 compiler::SchedParams
 schedParams(const AcceleratorConfig &cfg)
 {
+    const RandomTiming rt =
+        randomTiming(cfg, cfg.randomArray, cfg.randomTech);
     compiler::SchedParams sp;
-    fillSchedParams(sp, cfg,
-                    randomTiming(cfg, cfg.randomArray, cfg.randomTech));
+    sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
+    sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
+    sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
+    sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
+    sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
+    sp.hrBandwidthBytesPerCycle =
+        rt.banks * rt.lineBytes / rt.busyReadCycles;
+    sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
+    sp.prefetchIterations = cfg.prefetchIterations;
+    sp.hasRandomArray = true;
     return sp;
 }
 
@@ -431,8 +421,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            compiler::SchedParams sp;
-            fillSchedParams(sp, cfg, rt);
+            const compiler::SchedParams sp = schedParams(cfg);
             const SchedOutcome out =
                 cachedScheduleOutcome(layer, cfg.pe, d, sp, mode);
             hidden = out.hidden;

@@ -1,9 +1,26 @@
 #include "ilp/model.hh"
 
+#include <atomic>
+
 #include "common/logging.hh"
 
 namespace smart::ilp
 {
+
+namespace
+{
+
+/** A stamp no model has held before (0 is the empty model's). */
+std::uint64_t
+freshStructure()
+{
+    static std::atomic<std::uint64_t> next{0};
+    // memory_order: only uniqueness matters; the stamp orders no other
+    // memory, so a relaxed increment suffices.
+    return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+} // namespace
 
 LinExpr &
 LinExpr::add(Var v, double coeff)
@@ -72,6 +89,7 @@ Model::addVar(double lb, double ub, VarType type)
     lb_.push_back(lb);
     ub_.push_back(ub);
     types_.push_back(type);
+    structure_ = freshStructure();
     return Var{static_cast<int>(lb_.size() - 1)};
 }
 
@@ -90,6 +108,7 @@ Model::addConstr(const LinExpr &expr, Sense sense, double rhs)
         (void)c;
     }
     constrs_.push_back(Constraint{expr, sense, rhs});
+    structure_ = freshStructure();
 }
 
 void
@@ -97,6 +116,7 @@ Model::setObjective(const LinExpr &expr, bool maximize)
 {
     objective_ = expr;
     maximize_ = maximize;
+    structure_ = freshStructure();
 }
 
 void

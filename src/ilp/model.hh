@@ -10,6 +10,7 @@
 #ifndef SMART_ILP_MODEL_HH
 #define SMART_ILP_MODEL_HH
 
+#include <cstdint>
 #include <vector>
 
 namespace smart::ilp
@@ -113,6 +114,14 @@ class Model
     /** Tighten a variable's bounds (used by branch & bound). */
     void setBounds(int id, double lb, double ub);
 
+    /**
+     * Stamp of the model's structure: its variables, constraints and
+     * objective, but not its bounds. addVar, addConstr and setObjective
+     * draw a process-unique stamp; copies keep theirs. Two models with
+     * the same stamp differ at most in their variable bounds.
+     */
+    std::uint64_t structure() const { return structure_; }
+
   private:
     std::vector<double> lb_;
     std::vector<double> ub_;
@@ -120,6 +129,7 @@ class Model
     std::vector<Constraint> constrs_;
     LinExpr objective_;
     bool maximize_ = true;
+    std::uint64_t structure_ = 0;
 };
 
 } // namespace smart::ilp

@@ -123,6 +123,7 @@ Tableau::build()
 {
     const Model &model = model_;
     ws_.warm = false;
+    ws_.structure = model.structure();
     ws_.shift.assign(n_, 0.0);
     for (int j = 0; j < n_; ++j) {
         smart_assert(std::isfinite(model.lb(j)),
@@ -487,8 +488,7 @@ Tableau::solve()
 bool
 Tableau::moveBounds()
 {
-    if (!ws_.warm || static_cast<int>(ws_.ub.size()) != n_ ||
-        model_.numConstrs() != ws_.modelRows)
+    if (!ws_.warm || model_.structure() != ws_.structure)
         return false;
     for (int j = 0; j < n_; ++j) {
         const double lb = model_.lb(j);

@@ -12,18 +12,19 @@
  * would.
  *
  * resolveLp warm-starts from the optimal tableau a workspace already
- * holds. The model may differ from the one that tableau was built for
- * only in its variable bounds. A bound change moves the right-hand
- * side, never the reduced costs, so the old basis stays dual feasible;
- * each change enters the rhs through B^-1, whose columns are the
- * initial slack and artificial identity columns (pivots keep them
- * current). Dual simplex pivots then restore primal feasibility, and a
+ * holds when the model differs from the one that tableau was built for
+ * only in its variable bounds (equal Model::structure()). A bound
+ * change moves the right-hand side, never the reduced costs, so the old
+ * basis stays dual feasible; each change enters the rhs through B^-1,
+ * whose columns are the initial slack and artificial identity columns
+ * (pivots keep them current). Dual simplex pivots then restore primal feasibility, and a
  * primal pass cleans up any reduced cost left past the tolerance.
  */
 
 #ifndef SMART_ILP_SIMPLEX_HH
 #define SMART_ILP_SIMPLEX_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "ilp/model.hh"
@@ -138,6 +139,7 @@ struct LpWorkspace
 
     // Warm-start state: what the rows of the held tableau mean, so
     // resolveLp can move bound changes into its rhs.
+    std::uint64_t structure = 0; //!< Model::structure() of the build.
     int firstArtificial = 0;
     int modelRows = 0; //!< Rows from constraints; the rest are ub rows.
     /**
@@ -171,13 +173,14 @@ Solution solveLp(const Model &model, const SolverOptions &opts,
 
 /**
  * Re-solve the LP relaxation from the tableau @p ws holds (the B&B hot
- * path). @p model must be the model of @p ws's last solve with only
- * its variable bounds changed. Falls back to a cold solveLp when @p ws
- * is not warm, a bound change would change the row layout, the
- * tableau's fill-in covers more than a quarter of its cells, the warm
- * pivots outnumber rows plus columns, or a basic artificial leaves
- * zero. The status matches a cold solve's and the objective agrees to
- * rounding, but a degenerate LP may land on another optimal vertex.
+ * path). Falls back to a cold solveLp when @p ws is not warm, @p model
+ * differs from the model of that tableau in more than its variable
+ * bounds (Model::structure()), a bound change would change the row
+ * layout, the tableau's fill-in covers more than a quarter of its
+ * cells, the warm pivots outnumber rows plus columns, or a basic
+ * artificial leaves zero. The status matches a cold solve's and the
+ * objective agrees to rounding, but a degenerate LP may land on
+ * another optimal vertex.
  */
 Solution resolveLp(const Model &model, const SolverOptions &opts,
                    LpWorkspace &ws);

@@ -575,6 +575,40 @@ TEST(WarmStart, DriftChainMatchesCold)
 }
 
 /**
+ * A model of the same shape as the workspace's tableau but another
+ * objective or other constraints is not a bound change: resolveLp must
+ * solve it cold, not re-optimize the old tableau.
+ */
+TEST(WarmStart, OtherModelOfSameShapeSolvesCold)
+{
+    const Model conv2 = compiler::buildIlpModel(layerDag(kLayers[0]), {});
+    Model flipped = conv2;
+    flipped.setObjective(conv2.objective(), !conv2.maximize());
+    // The same variables and rows with every right-hand side halved.
+    Model halved;
+    for (int j = 0; j < conv2.numVars(); ++j)
+        halved.addVar(conv2.lb(j), conv2.ub(j), conv2.type(j));
+    for (const auto &c : conv2.constraints())
+        halved.addConstr(c.expr, c.sense, c.rhs / 2);
+    halved.setObjective(conv2.objective(), conv2.maximize());
+
+    const SolverOptions opts;
+    LpWorkspace ws;
+    const Solution first = solveLp(conv2, opts, ws);
+    ASSERT_EQ(first.status, SolveStatus::Optimal);
+    const Model *sequence[] = {&flipped, &conv2, &halved, &flipped};
+    for (std::size_t k = 0; k < std::size(sequence); ++k) {
+        SCOPED_TRACE("step " + std::to_string(k));
+        const Solution cold = solveLp(*sequence[k], opts);
+        ASSERT_EQ(cold.status, SolveStatus::Optimal);
+        if (sequence[k] != &conv2) {
+            EXPECT_NE(cold.objective, first.objective);
+        }
+        expectSameLp(resolveLp(*sequence[k], opts, ws), cold);
+    }
+}
+
+/**
  * hp = AND(h, p) is a continuous variable: for each integral (h, p)
  * of an object that may be prefetched, the AND rows pin hp to h * p,
  * whether the LP pushes hp up or down.
