@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: the
- * simplex solver, the SHIFT replay, the pulse simulator, the sub-bank
- * model, and a full SMART layer evaluation.
+ * simplex solver, the SHIFT replay, demand analysis, the pulse
+ * simulator, the sub-bank model, and a full SMART layer evaluation.
  *
  * With --json [--out PATH], instead runs the end-to-end evaluation
  * sweep (figure grid via runBatch, the Fig. 14 DSE sweep, and a B&B
@@ -75,6 +75,21 @@ BM_ShiftReplay(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ShiftReplay);
+
+/** Demand analysis of every conv layer of the six paper CNNs. */
+void
+BM_AnalyzeDemand(benchmark::State &state)
+{
+    std::vector<systolic::ConvLayer> layers;
+    for (const auto &name : cnn::modelNames())
+        for (const auto &l : cnn::convLayersOnly(cnn::makeModel(name)).layers)
+            layers.push_back(l);
+    for (auto _ : state)
+        for (const auto &l : layers)
+            benchmark::DoNotOptimize(systolic::analyzeDemand(l, {64, 256}));
+    state.counters["layers"] = static_cast<double>(layers.size());
+}
+BENCHMARK(BM_AnalyzeDemand);
 
 void
 BM_PulseSimSplitterUnit(benchmark::State &state)

@@ -167,11 +167,16 @@ LruCache<SchedOutcome> ilp_cache([] {
     return c;
 }());
 
+/**
+ * Schedule @p layer, or reuse its memoized outcome. @p spKey is
+ * sp.cacheKey(), built once per configuration by the caller.
+ */
 SchedOutcome
 cachedScheduleOutcome(const systolic::ConvLayer &layer,
                       const systolic::ArrayDims &pe,
                       const LayerDemand &d,
-                      const compiler::SchedParams &sp, SchedMode mode)
+                      const compiler::SchedParams &sp,
+                      const std::string &spKey, SchedMode mode)
 {
     // The key must cover the full layer shape, the PE array the demand
     // was analyzed against, every SchedParams field, and the compiler
@@ -180,7 +185,7 @@ cachedScheduleOutcome(const systolic::ConvLayer &layer,
     // request forcing the greedy pass — must not alias a cached entry.
     const std::string key =
         layerKey(layer) + '|' + std::to_string(pe.rows) + 'x' +
-        std::to_string(pe.cols) + '|' + sp.cacheKey() +
+        std::to_string(pe.cols) + '|' + spKey +
         (mode == SchedMode::Greedy ? "|greedy" : "");
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     bool computed = false;
@@ -257,13 +262,10 @@ weightDram(const AcceleratorConfig &cfg,
         cfg.dramBytesPerCycle());
 }
 
-} // namespace
-
+/** Scheduler parameters of @p cfg, given its RANDOM array timing. */
 compiler::SchedParams
-schedParams(const AcceleratorConfig &cfg)
+schedParamsFrom(const AcceleratorConfig &cfg, const RandomTiming &rt)
 {
-    const RandomTiming rt =
-        randomTiming(cfg, cfg.randomArray, cfg.randomTech);
     compiler::SchedParams sp;
     sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
     sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
@@ -278,19 +280,50 @@ schedParams(const AcceleratorConfig &cfg)
     return sp;
 }
 
-void
-clearIlpCache()
+/**
+ * What every layer of one evaluation reads from its configuration,
+ * derived once per runInference (or runLayer) call.
+ */
+struct ConfigState
 {
-    ilp_cache.clear();
+    /** Input SPM timing (SRAM) or RANDOM array timing (Heter/Pipe/SMART). */
+    RandomTiming rt;
+    compiler::SchedParams sp; //!< Compiler configs only.
+    std::string spKey;        //!< sp.cacheKey(); compiler configs only.
+};
+
+/** Validate @p cfg (panicking with the reason) and derive its state. */
+ConfigState
+configState(const AcceleratorConfig &cfg)
+{
+    const char *invalid = cfg.invalidReason();
+    smart_assert(invalid == nullptr, invalid);
+    ConfigState st;
+    switch (cfg.scheme) {
+      case Scheme::Tpu:
+      case Scheme::SuperNpu:
+        break;
+      case Scheme::Sram:
+        st.rt = randomTiming(cfg, cfg.inputSpm, cfg.randomTech);
+        break;
+      case Scheme::Heter:
+      case Scheme::Pipe:
+      case Scheme::Smart:
+        st.rt = randomTiming(cfg, cfg.randomArray, cfg.randomTech);
+        if (cfg.useIlpCompiler) {
+            st.sp = schedParamsFrom(cfg, st.rt);
+            st.spKey = st.sp.cacheKey();
+        }
+        break;
+    }
+    return st;
 }
 
 LayerResult
-runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
-         int batch, SchedMode mode)
+evalLayer(const AcceleratorConfig &cfg, const ConfigState &st,
+          const systolic::ConvLayer &layer, int batch, SchedMode mode)
 {
     smart_assert(batch >= 1, "batch must be >= 1");
-    const char *invalid = cfg.invalidReason();
-    smart_assert(invalid == nullptr, invalid);
     const LayerDemand d = systolic::analyzeDemand(layer, cfg.pe);
     const auto &m = d.mapping;
     const double B = batch;
@@ -375,8 +408,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // (Sec. 4.1) — the dependent access latency of one fetch round
         // per ofmap pixel per fold. The paper's Fig. 5(a) latency
         // dominance comes from the second term.
-        const RandomTiming rt =
-            randomTiming(cfg, cfg.inputSpm, cfg.randomTech);
+        const RandomTiming &rt = st.rt;
         const double pixel_folds =
             static_cast<double>(m.ofmapPixels) * m.folds() * B;
 
@@ -412,8 +444,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
       case Scheme::Heter:
       case Scheme::Pipe:
       case Scheme::Smart: {
-        const RandomTiming rt =
-            randomTiming(cfg, cfg.randomArray, cfg.randomTech);
+        const RandomTiming &rt = st.rt;
         // The compiler (SMART / the "+p" heuristic) restructures input
         // fetches into memory objects staged through the SHIFT arrays
         // and prefetched ahead of each iteration; without it (Heter,
@@ -421,9 +452,8 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            const compiler::SchedParams sp = schedParams(cfg);
-            const SchedOutcome out =
-                cachedScheduleOutcome(layer, cfg.pe, d, sp, mode);
+            const SchedOutcome out = cachedScheduleOutcome(
+                layer, cfg.pe, d, st.sp, st.spKey, mode);
             hidden = out.hidden;
             r.schedQuality = out.quality;
             r.schedGapBound = out.gapBound;
@@ -517,6 +547,30 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
     return r;
 }
 
+} // namespace
+
+compiler::SchedParams
+schedParams(const AcceleratorConfig &cfg)
+{
+    smart_assert(cfg.hasRandomArray() && cfg.randomArray.banks >= 1,
+                 "schedParams: the config has no RANDOM array");
+    return schedParamsFrom(
+        cfg, randomTiming(cfg, cfg.randomArray, cfg.randomTech));
+}
+
+void
+clearIlpCache()
+{
+    ilp_cache.clear();
+}
+
+LayerResult
+runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
+         int batch, SchedMode mode)
+{
+    return evalLayer(cfg, configState(cfg), layer, batch, mode);
+}
+
 InferenceResult
 runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
              int batch, SchedMode mode)
@@ -542,9 +596,10 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     // parallel results are bit-identical to a serial loop. Nested
     // under runBatch's per-item tasks this is real parallelism now,
     // not the inlined-serial collapse of the fixed-wave pool.
+    const ConfigState st = configState(cfg);
     res.layers.resize(model.layers.size());
     pFor(model.layers.size(), [&](std::size_t i) {
-        res.layers[i] = runLayer(cfg, model.layers[i], batch, mode);
+        res.layers[i] = evalLayer(cfg, st, model.layers[i], batch, mode);
     });
     for (const auto &lr : res.layers) {
         res.totalCycles += lr.totalCycles;

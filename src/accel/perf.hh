@@ -123,6 +123,8 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
  * Scheduler parameters for the layer ILPs of a compiler-scheduled
  * scheme (SMART): SPM capacities, access costs and the RANDOM->SHIFT
  * staging bandwidth of @p cfg. runLayer schedules with these.
+ * Precondition: @p cfg has a RANDOM array with at least one bank
+ * (TPU, SuperNPU and SRAM have none); panics otherwise.
  */
 compiler::SchedParams schedParams(const AcceleratorConfig &cfg);
 

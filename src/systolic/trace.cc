@@ -57,18 +57,18 @@ inputAddr(const ConvLayer &layer, const WindowElem &e, int oh, int ow,
                layer.inChannels + c;
 }
 
-/** Count of valid (in-bounds) ofmap positions for one kernel offset. */
+/**
+ * Count of (output, tap) pairs along one axis whose input index
+ * o * stride - pad + tap falls inside [0, in).
+ */
 std::uint64_t
-validPixels(const ConvLayer &layer, int kr, int ks)
+validTaps(int out, int in, int kernel, int stride, int pad)
 {
     std::uint64_t count = 0;
-    for (int oh = 0; oh < layer.ofmapH(); ++oh) {
-        const int ih = oh * layer.stride - layer.pad + kr;
-        if (ih < 0 || ih >= layer.ifmapH)
-            continue;
-        for (int ow = 0; ow < layer.ofmapW(); ++ow) {
-            const int iw = ow * layer.stride - layer.pad + ks;
-            if (iw >= 0 && iw < layer.ifmapW)
+    for (int tap = 0; tap < kernel; ++tap) {
+        for (int o = 0; o < out; ++o) {
+            const int i = o * stride - pad + tap;
+            if (i >= 0 && i < in)
                 ++count;
         }
     }
@@ -85,11 +85,14 @@ analyzeDemand(const ConvLayer &layer, const ArrayDims &pe)
 
     // Valid input element reads: padding positions deliver zeros without
     // touching the SPM. Each kernel offset (kr, ks) contributes its
-    // in-bounds pixel count once per channel per column fold.
-    std::uint64_t valid_per_channel = 0;
-    for (int kr = 0; kr < layer.kernelH; ++kr)
-        for (int ks = 0; ks < layer.kernelW; ++ks)
-            valid_per_channel += validPixels(layer, kr, ks);
+    // in-bounds pixel count once per channel per column fold. Whether a
+    // row is in bounds does not depend on the column, so the count over
+    // all offsets and pixels factors into the two axes.
+    const std::uint64_t valid_per_channel =
+        validTaps(layer.ofmapH(), layer.ifmapH, layer.kernelH, layer.stride,
+                  layer.pad) *
+        validTaps(layer.ofmapW(), layer.ifmapW, layer.kernelW, layer.stride,
+                  layer.pad);
 
     // Depthwise folds walk one channel each (colFolds == channels), so
     // every channel streams exactly once; dense layers re-stream all

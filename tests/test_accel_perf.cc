@@ -185,6 +185,65 @@ TEST(PerfDeathTest, InvalidConfigPanicsWithReason)
                  "SPM bank count");
 }
 
+TEST(PerfDeathTest, SchedParamsNeedsRandomArray)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(schedParams(makeTpu()), "schedParams");
+    EXPECT_DEATH(schedParams(makeSuperNpu()), "schedParams");
+    EXPECT_DEATH(schedParams(makeSramScheme()), "schedParams");
+    EXPECT_GT(schedParams(makeSmart()).hrBandwidthBytesPerCycle, 0.0);
+}
+
+void
+expectSameLayer(const LayerResult &a, const LayerResult &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.computeCycles, b.computeCycles);
+    EXPECT_EQ(a.inputService, b.inputService);
+    EXPECT_EQ(a.weightService, b.weightService);
+    EXPECT_EQ(a.outputService, b.outputService);
+    EXPECT_EQ(a.serialOverhead, b.serialOverhead);
+    EXPECT_EQ(a.weightDramCycles, b.weightDramCycles);
+    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    EXPECT_EQ(a.counters.shiftSteps, b.counters.shiftSteps);
+    EXPECT_EQ(a.counters.shiftLaneBytes, b.counters.shiftLaneBytes);
+    EXPECT_EQ(a.counters.randomReadBytes, b.counters.randomReadBytes);
+    EXPECT_EQ(a.counters.randomWriteBytes, b.counters.randomWriteBytes);
+    EXPECT_EQ(a.counters.dramBytes, b.counters.dramBytes);
+    EXPECT_EQ(a.counters.macs, b.counters.macs);
+    EXPECT_EQ(a.schedQuality, b.schedQuality);
+    EXPECT_EQ(a.schedGapBound, b.schedGapBound);
+}
+
+TEST(Perf, InferenceLayersEqualPerLayerRuns)
+{
+    // runInference derives the per-config state once and shares it
+    // across its (parallel) layer tasks; runLayer derives it per call.
+    // Both must give the same result for every layer.
+    for (int s = 0; s < 6; ++s) {
+        const auto cfg = makeScheme(static_cast<Scheme>(s));
+        for (const auto &name : cnn::modelNames()) {
+            const auto model = cnn::makeModel(name);
+            const int paper = cnn::paperBatchSize(
+                name, cfg.scheme == Scheme::SuperNpu);
+            for (int batch : {1, paper}) {
+                for (SchedMode mode : {SchedMode::Ilp, SchedMode::Greedy}) {
+                    SCOPED_TRACE(cfg.name + " " + name + " b" +
+                                 std::to_string(batch) +
+                                 (mode == SchedMode::Ilp ? " ilp"
+                                                         : " greedy"));
+                    const auto r = runInference(cfg, model, batch, mode);
+                    ASSERT_EQ(r.layers.size(), model.layers.size());
+                    for (std::size_t i = 0; i < model.layers.size(); ++i)
+                        expectSameLayer(
+                            r.layers[i],
+                            runLayer(cfg, model.layers[i], batch, mode));
+                }
+            }
+        }
+    }
+}
+
 class SchemeModelSweep
     : public ::testing::TestWithParam<std::tuple<int, std::string>>
 {

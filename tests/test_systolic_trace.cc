@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cnn/models.hh"
 #include "systolic/trace.hh"
 
 namespace
@@ -52,6 +53,92 @@ TEST(Demand, PsumTrafficOnlyWithRowFolds)
     EXPECT_GT(d.mapping.rowFolds, 1u);
     EXPECT_EQ(d.psumReads,
               d.outputUniqueBytes * (d.mapping.rowFolds - 1));
+}
+
+/**
+ * Brute-force oracle for LayerDemand::inputPortReads: walk every kernel
+ * offset and ofmap pixel and count the in-bounds input reads, once per
+ * channel per column fold (depthwise layers stream each channel once).
+ */
+std::uint64_t
+bruteInputPortReads(const ConvLayer &l, const ArrayDims &pe)
+{
+    std::uint64_t valid_per_channel = 0;
+    for (int kr = 0; kr < l.kernelH; ++kr) {
+        for (int ks = 0; ks < l.kernelW; ++ks) {
+            for (int oh = 0; oh < l.ofmapH(); ++oh) {
+                const int ih = oh * l.stride - l.pad + kr;
+                if (ih < 0 || ih >= l.ifmapH)
+                    continue;
+                for (int ow = 0; ow < l.ofmapW(); ++ow) {
+                    const int iw = ow * l.stride - l.pad + ks;
+                    if (iw >= 0 && iw < l.ifmapW)
+                        ++valid_per_channel;
+                }
+            }
+        }
+    }
+    const std::uint64_t folds =
+        l.depthwise ? 1 : mapLayer(l, pe).colFolds;
+    return valid_per_channel * l.inChannels * folds;
+}
+
+TEST(Demand, ClosedFormMatchesBruteForceOverShapeSweep)
+{
+    // Rectangular ifmaps, square kernels 1-11, strides 1-4 and every
+    // padding up to the kernel size; each shape as a dense layer, a
+    // dense layer with two column folds, and a depthwise layer. Shapes
+    // whose kernel overhangs the padded ifmap are malformed layers that
+    // analyzeDemand rejects, so the sweep skips them.
+    const ArrayDims pe{64, 256};
+    int shapes = 0;
+    for (int h = 1; h <= 20; ++h) {
+        for (int w = 1; w <= 9; ++w) {
+            for (int k = 1; k <= 11; ++k) {
+                for (int stride = 1; stride <= 4; ++stride) {
+                    for (int pad = 0; pad <= k; ++pad) {
+                        ConvLayer dense;
+                        dense.ifmapH = h;
+                        dense.ifmapW = w;
+                        dense.inChannels = 3;
+                        dense.filters = 5;
+                        dense.kernelH = k;
+                        dense.kernelW = k;
+                        dense.stride = stride;
+                        dense.pad = pad;
+                        if (dense.invalidReason() != nullptr)
+                            continue;
+                        ++shapes;
+                        ConvLayer folded = dense;
+                        folded.filters = 300;
+                        ConvLayer dw = dense;
+                        dw.depthwise = true;
+                        dw.inChannels = 4;
+                        for (const ConvLayer &l : {dense, folded, dw}) {
+                            EXPECT_EQ(analyzeDemand(l, pe).inputPortReads,
+                                      bruteInputPortReads(l, pe))
+                                << h << 'x' << w << " k" << k << " s"
+                                << stride << " p" << pad << " dw"
+                                << l.depthwise << " m" << l.filters;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(shapes, 43840);
+    EXPECT_EQ(mapLayer(ConvLayer::conv("c", 8, 8, 3, 300, 3), pe).colFolds,
+              2u);
+}
+
+TEST(Demand, ClosedFormMatchesBruteForceOnPaperModels)
+{
+    const ArrayDims pe{64, 256};
+    for (const auto &name : cnn::modelNames())
+        for (const auto &l : cnn::makeModel(name).layers)
+            EXPECT_EQ(analyzeDemand(l, pe).inputPortReads,
+                      bruteInputPortReads(l, pe))
+                << name << ' ' << l.name;
 }
 
 TEST(Replay, CountsMatchClosedForm)
