@@ -17,9 +17,9 @@
 #include <cstdio>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 
+#include "accel/hash.hh"
 #include "bench_util.hh"
 #include "compiler/greedy.hh"
 #include "compiler/ilpsched.hh"
@@ -30,23 +30,13 @@ namespace
 
 using namespace smart;
 
-/** Every layer-shape field the schedule depends on. */
-std::string
-shapeKey(const systolic::ConvLayer &l)
-{
-    std::ostringstream key;
-    key << l.ifmapH << 'x' << l.ifmapW << 'x' << l.inChannels << 'f'
-        << l.filters << 'k' << l.kernelH << 'x' << l.kernelW << 's'
-        << l.stride << 'p' << l.pad << 'd' << l.depthwise;
-    return key.str();
-}
-
 /** The per-layer dump behind --layers. */
 int
 dumpLayers()
 {
     const accel::AcceleratorConfig cfg = accel::makeSmart();
     const compiler::SchedParams params = accel::schedParams(cfg);
+    const std::string paramsKey = accel::schedParamsKey(params);
     const ilp::SolverOptions opts = compiler::ilpSolverOptions();
     std::printf("# model\tlayer\tstatus\tobjective\tnodes\tpivots\t"
                 "gap_bound\tprefetched\tcycles_b1\tpaper_batch\t"
@@ -56,7 +46,10 @@ dumpLayers()
         const auto model = cnn::convLayersOnly(cnn::makeModel(name));
         const int paper = cnn::paperBatchSize(name, false);
         for (const auto &layer : model.layers) {
-            if (!seen.insert(shapeKey(layer)).second)
+            // One row per distinct schedule memo entry.
+            if (!seen.insert(accel::scheduleKey(layer, cfg.pe, paramsKey,
+                                                accel::SchedMode::Ilp))
+                     .second)
                 continue;
             const compiler::LayerDag dag = compiler::buildLayerDag(
                 layer, systolic::analyzeDemand(layer, cfg.pe));

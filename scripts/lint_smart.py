@@ -3,12 +3,11 @@
 
 Rules
 -----
-naked-new      `new` expressions are banned outside common/arena.hh —
-               allocation goes through containers, smart pointers, or
-               the arena.  (Placement new counts: it is still manual
-               lifetime management.)
-naked-delete   `delete` expressions are banned outside common/arena.hh
-               (`= delete;` declarations are fine).
+naked-new      `new` expressions are banned in src/ — allocation goes
+               through containers or smart pointers.  (Placement new
+               counts: it is still manual lifetime management.)
+naked-delete   `delete` expressions are banned in src/ (`= delete;`
+               declarations are fine).
 endl           `std::endl` is banned: it is a flush, and the logging
                layer already guarantees line-atomic writes.  Use '\\n'.
 memory-order   Every non-seq_cst std::memory_order use must carry a
@@ -57,9 +56,7 @@ SUPPRESS_WINDOW = 8
 # How far above a non-seq_cst atomic its memory_order: rationale may be.
 RATIONALE_WINDOW = 20
 
-# Files the naked-new/naked-delete rules skip entirely: the arena IS
-# the allocator, and the TSA header defines the Mutex wrapper itself.
-ARENA_FILES = {"src/common/arena.hh"}
+# The TSA header defines the Mutex wrapper itself.
 MUTEX_ALLOWED_FILES = {"src/common/threadsafety.hh"}
 # The typed-unit vocabulary itself plus the byte-exact serialization
 # boundaries, where quantities are unwrapped to raw doubles on purpose.
@@ -182,14 +179,12 @@ def lint_file(path, rel, violations):
     for idx, code in enumerate(code_lines):
         lineno = idx + 1
 
-        if rel not in ARENA_FILES and in_src:
+        if in_src:
             if NEW_RE.search(code):
                 report(lineno, "naked-new",
-                       "naked `new` outside common/arena.hh — use a "
-                       "container, smart pointer, or the arena")
+                       "naked `new` — use a container or smart pointer")
             if DELETE_RE.search(code) and not DELETED_FN_RE.search(code):
-                report(lineno, "naked-delete",
-                       "naked `delete` outside common/arena.hh")
+                report(lineno, "naked-delete", "naked `delete`")
 
         if ENDL_RE.search(code):
             report(lineno, "endl",

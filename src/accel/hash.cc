@@ -8,12 +8,9 @@ namespace smart::accel
 namespace
 {
 
-// The builders append with snprintf into small stack buffers instead
-// of streaming through an ostringstream: the serve dispatch path
-// builds one key per admitted request, and the stream's locale
-// machinery plus its internal buffer made every key cost several
-// allocations. With these helpers the only heap traffic is the
-// destination string's growth — and callers reserve that up front.
+// The builders append with snprintf into small stack buffers, so the
+// only heap traffic is the destination string's growth — and callers
+// reserve that up front.
 
 /** Serialize a double with full bit fidelity (hexfloat). */
 void
@@ -58,6 +55,29 @@ putS(std::string &out, const std::string &s)
     out += ':';
     out += s;
     out += ',';
+}
+
+/** Every layer-shape field the demand and schedule models read. */
+void
+putShape(std::string &out, const systolic::ConvLayer &l)
+{
+    putI(out, l.ifmapH);
+    out += ',';
+    putI(out, l.ifmapW);
+    out += ',';
+    putI(out, l.inChannels);
+    out += ',';
+    putI(out, l.filters);
+    out += ',';
+    putI(out, l.kernelH);
+    out += ',';
+    putI(out, l.kernelW);
+    out += ',';
+    putI(out, l.stride);
+    out += ',';
+    putI(out, l.pad);
+    out += ',';
+    putI(out, l.depthwise);
 }
 
 } // namespace
@@ -112,23 +132,7 @@ appendRequestKey(std::string &out, const AcceleratorConfig &cfg,
     putS(out, model.name);
     for (const auto &l : model.layers) {
         putS(out, l.name);
-        putI(out, l.ifmapH);
-        out += ',';
-        putI(out, l.ifmapW);
-        out += ',';
-        putI(out, l.inChannels);
-        out += ',';
-        putI(out, l.filters);
-        out += ',';
-        putI(out, l.kernelH);
-        out += ',';
-        putI(out, l.kernelW);
-        out += ',';
-        putI(out, l.stride);
-        out += ',';
-        putI(out, l.pad);
-        out += ',';
-        putI(out, l.depthwise);
+        putShape(out, l);
         out += ';';
     }
     out += "}batch{";
@@ -177,6 +181,44 @@ requestShapeKey(const cnn::CnnModel &model, int batch)
 {
     std::string out;
     appendRequestShapeKey(out, model, batch);
+    return out;
+}
+
+std::string
+schedParamsKey(const compiler::SchedParams &sp)
+{
+    std::string out;
+    out.reserve(160);
+    putU(out, sp.shiftCapacityBytes.value());
+    out += ',';
+    putU(out, sp.randomCapacityBytes.value());
+    out += ',';
+    putD(out, sp.shiftCyclesPerAccess);
+    putD(out, sp.randomCyclesPerAccess);
+    putD(out, sp.dramCyclesPerAccess);
+    putD(out, sp.hrBandwidthBytesPerCycle);
+    putD(out, sp.dramBandwidthBytesPerCycle);
+    putI(out, sp.prefetchIterations);
+    out += ',';
+    putI(out, sp.hasRandomArray);
+    return out;
+}
+
+std::string
+scheduleKey(const systolic::ConvLayer &layer, const systolic::ArrayDims &pe,
+            const std::string &spKey, SchedMode mode)
+{
+    std::string out;
+    out.reserve(96 + spKey.size());
+    putShape(out, layer);
+    out += '|';
+    putI(out, pe.rows);
+    out += 'x';
+    putI(out, pe.cols);
+    out += '|';
+    out += spKey;
+    if (mode == SchedMode::Greedy)
+        out += kGreedyKeySuffix;
     return out;
 }
 

@@ -15,10 +15,10 @@
  * logging and shard selection only — never use the digest alone as a
  * cache key.
  *
- * The append* builders write into a caller-owned buffer with a single
- * up-front reserve (no ostringstream, no intermediate temporaries), so
- * the serving layer's per-request key build costs zero steady-state
- * heap allocations when the buffer is reused across requests.
+ * This module also spells the schedule memo key (scheduleKey) and the
+ * greedy suffix every degraded key carries, so each cache key in the
+ * tree is written in one place. The builders append with snprintf into
+ * the destination string after a single up-front reserve.
  */
 
 #ifndef SMART_ACCEL_HASH_HH
@@ -29,10 +29,19 @@
 #include <string_view>
 
 #include "accel/config.hh"
+#include "accel/perf.hh"
 #include "cnn/models.hh"
 
 namespace smart::accel
 {
+
+/**
+ * Suffix that keys a greedy-scheduled (degraded) evaluation apart from
+ * its ILP twin. The serve result cache, its L2 and coalescing groups
+ * append it to the request key, the cost estimator to the shape key,
+ * and the schedule memo to the schedule key.
+ */
+inline constexpr char kGreedyKeySuffix[] = "|greedy";
 
 /**
  * Canonical cache key of one evaluation request: covers the complete
@@ -46,8 +55,8 @@ std::string requestKey(const AcceleratorConfig &cfg,
 
 /**
  * Append the canonical key to @p out (one reserve, no temporaries).
- * Byte-identical to requestKey(); the allocation-free form the serve
- * dispatch path uses with a reused scratch buffer + per-wave arena.
+ * Byte-identical to requestKey(); the serve dispatcher builds
+ * Pending::key with it.
  */
 void appendRequestKey(std::string &out, const AcceleratorConfig &cfg,
                       const cnn::CnnModel &model, int batch);
@@ -67,6 +76,23 @@ std::string requestShapeKey(const cnn::CnnModel &model, int batch);
 /** Append form of requestShapeKey (same bytes, caller's buffer). */
 void appendRequestShapeKey(std::string &out, const cnn::CnnModel &model,
                            int batch);
+
+/**
+ * The SchedParams part of scheduleKey: every field at full precision.
+ * runInference builds it once per configuration.
+ */
+std::string schedParamsKey(const compiler::SchedParams &sp);
+
+/**
+ * Key of the process-global schedule memo: the shape of @p layer (not
+ * its name, so repeated blocks share one solve), the PE array @p pe
+ * the demand was analyzed against, @p spKey (schedParamsKey) and, for
+ * SchedMode::Greedy, kGreedyKeySuffix. Everything the scheduler's
+ * output depends on, so no two inputs that schedule differently alias.
+ */
+std::string scheduleKey(const systolic::ConvLayer &layer,
+                        const systolic::ArrayDims &pe,
+                        const std::string &spKey, SchedMode mode);
 
 /** 64-bit FNV-1a digest of a canonical key (display/sharding only). */
 std::uint64_t requestDigest(std::string_view key);

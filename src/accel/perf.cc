@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
+#include "accel/hash.hh"
 #include "common/cache.hh"
 #include "common/logging.hh"
 #include "common/taskgraph.hh"
@@ -48,18 +48,6 @@ InferenceResult::totals() const
 
 namespace
 {
-
-/** Every layer-shape field the demand and schedule models read. */
-std::string
-layerKey(const systolic::ConvLayer &layer)
-{
-    std::ostringstream key;
-    key << layer.ifmapH << 'x' << layer.ifmapW << 'x' << layer.inChannels
-        << 'f' << layer.filters << 'k' << layer.kernelH << 'x'
-        << layer.kernelW << 's' << layer.stride << 'p' << layer.pad
-        << 'd' << layer.depthwise;
-    return key.str();
-}
 
 // ----------------------------------------------------------------
 // RANDOM array timing, normalized to accelerator cycles.
@@ -169,7 +157,7 @@ LruCache<SchedOutcome> ilp_cache([] {
 
 /**
  * Schedule @p layer, or reuse its memoized outcome. @p spKey is
- * sp.cacheKey(), built once per configuration by the caller.
+ * schedParamsKey(sp), built once per configuration by the caller.
  */
 SchedOutcome
 cachedScheduleOutcome(const systolic::ConvLayer &layer,
@@ -178,15 +166,7 @@ cachedScheduleOutcome(const systolic::ConvLayer &layer,
                       const compiler::SchedParams &sp,
                       const std::string &spKey, SchedMode mode)
 {
-    // The key must cover the full layer shape, the PE array the demand
-    // was analyzed against, every SchedParams field, and the compiler
-    // pass requested: the scheduler's costs read all of them, and a
-    // sweep that mutates e.g. the staging bandwidth — or a degraded
-    // request forcing the greedy pass — must not alias a cached entry.
-    const std::string key =
-        layerKey(layer) + '|' + std::to_string(pe.rows) + 'x' +
-        std::to_string(pe.cols) + '|' + spKey +
-        (mode == SchedMode::Greedy ? "|greedy" : "");
+    const std::string key = scheduleKey(layer, pe, spKey, mode);
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     bool computed = false;
     SchedOutcome out = ilp_cache.getOrCompute(key, [&]() {
@@ -289,7 +269,7 @@ struct ConfigState
     /** Input SPM timing (SRAM) or RANDOM array timing (Heter/Pipe/SMART). */
     RandomTiming rt;
     compiler::SchedParams sp; //!< Compiler configs only.
-    std::string spKey;        //!< sp.cacheKey(); compiler configs only.
+    std::string spKey;        //!< schedParamsKey(sp); compiler configs only.
 };
 
 /** Validate @p cfg (panicking with the reason) and derive its state. */
@@ -312,7 +292,7 @@ configState(const AcceleratorConfig &cfg)
         st.rt = randomTiming(cfg, cfg.randomArray, cfg.randomTech);
         if (cfg.useIlpCompiler) {
             st.sp = schedParamsFrom(cfg, st.rt);
-            st.spKey = st.sp.cacheKey();
+            st.spKey = schedParamsKey(st.sp);
         }
         break;
     }

@@ -241,9 +241,8 @@ class LruCache
              const std::string &tag = std::string())
     {
         // Size and wrap the value before taking the shard lock; the
-        // lock only covers pointer/bookkeeping updates. Keys are
-        // string_views (the serving layer passes arena-interned
-        // views); the node copies the bytes it keeps.
+        // lock only covers pointer/bookkeeping updates. The node
+        // copies the key bytes it keeps.
         const std::size_t bytes = entryBytes(key, value);
         insert(key, std::make_shared<const Value>(std::move(value)),
                bytes, tag);

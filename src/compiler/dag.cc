@@ -5,24 +5,6 @@
 namespace smart::compiler
 {
 
-const char *
-instrName(InstrKind k)
-{
-    switch (k) {
-      case InstrKind::ReadHostMemory:
-        return "Read_Host_Memory";
-      case InstrKind::ReadWeights:
-        return "Read_Weights";
-      case InstrKind::MatrixMultiply:
-        return "Matrix_Multiply";
-      case InstrKind::Activate:
-        return "Activate";
-      case InstrKind::WriteHostMemory:
-        return "Write_Host_Memory";
-    }
-    smart_panic("unknown instruction kind");
-}
-
 std::vector<const MemoryObject *>
 LayerDag::objectsOf(int n) const
 {
@@ -61,16 +43,6 @@ buildLayerDag(const systolic::ConvLayer &layer,
         (folds + dag.iterations - 1) / dag.iterations;
     dag.cyclesPerIteration =
         m.idealCycles(1) / static_cast<Cycles>(dag.iterations);
-
-    // Nodes: Read_Host_Memory, then per iteration Read_Weights +
-    // Matrix_Multiply, then Activate and Write_Host_Memory (Fig. 15).
-    dag.nodes.push_back({InstrKind::ReadHostMemory, -1});
-    for (int n = 0; n < dag.iterations; ++n) {
-        dag.nodes.push_back({InstrKind::ReadWeights, n});
-        dag.nodes.push_back({InstrKind::MatrixMultiply, n});
-    }
-    dag.nodes.push_back({InstrKind::Activate, -1});
-    dag.nodes.push_back({InstrKind::WriteHostMemory, -1});
 
     // Objects: per iteration chunk, size = per-fold tile x folds in the
     // chunk; access counts split evenly across chunks.

@@ -1,9 +1,9 @@
 /**
  * @file
- * The per-layer instruction DAG of Fig. 15: Read_Weights and
- * Matrix_Multiply nodes alternate per fold iteration; edges carry the
- * memory objects whose loads/stores can be scheduled there. Fold
- * iterations are chunked to a bounded iteration count so the ILP stays
+ * The per-layer DAG of Fig. 15, reduced to what the scheduler reads:
+ * its fold iterations (one Read_Weights + Matrix_Multiply pair each)
+ * and the memory objects whose loads/stores can be scheduled there.
+ * Fold iterations are chunked to a bounded iteration count so the ILP stays
  * tractable (the paper lets Gurobi run for up to an hour per model; we
  * bound the DAG instead and document it in DESIGN.md).
  */
@@ -19,30 +19,9 @@
 namespace smart::compiler
 {
 
-/** Instruction kinds of the accelerator ISA (Sec. 4.3). */
-enum class InstrKind
-{
-    ReadHostMemory,
-    ReadWeights,
-    MatrixMultiply,
-    Activate,
-    WriteHostMemory
-};
-
-/** Human-readable instruction name. */
-const char *instrName(InstrKind k);
-
-/** One DAG node. */
-struct DagNode
-{
-    InstrKind kind;
-    int iteration; //!< Fold-iteration chunk index (-1 for pre/post).
-};
-
 /** A layer's DAG plus its memory objects. */
 struct LayerDag
 {
-    std::vector<DagNode> nodes;
     int iterations = 0;             //!< Fold-iteration chunks.
     std::uint64_t foldsPerIteration = 1;
     std::vector<MemoryObject> objects; //!< All objects, all classes.

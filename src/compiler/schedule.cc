@@ -1,25 +1,9 @@
 #include "compiler/schedule.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 
 namespace smart::compiler
 {
-
-std::string
-SchedParams::cacheKey() const
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << shiftCapacityBytes.value() << ',' << randomCapacityBytes.value()
-       << ','
-       << shiftCyclesPerAccess << ',' << randomCyclesPerAccess << ','
-       << dramCyclesPerAccess << ',' << hrBandwidthBytesPerCycle << ','
-       << dramBandwidthBytesPerCycle << ',' << prefetchIterations << ','
-       << hasRandomArray;
-    return os.str();
-}
 
 const char *
 placementName(Placement p)
@@ -65,16 +49,6 @@ Schedule::servedFraction(const LayerDag &dag, ObjClass c,
             matched += dag.objects[i].accesses;
     }
     return total ? static_cast<double>(matched) / total : 0.0;
-}
-
-std::uint64_t
-Schedule::stagedBytes(const LayerDag &dag) const
-{
-    std::uint64_t bytes = 0;
-    for (std::size_t i = 0; i < dag.objects.size(); ++i)
-        if (decisions[i].placement == Placement::Shift)
-            bytes += dag.objects[i].bytes;
-    return bytes;
 }
 
 std::uint64_t

@@ -8,7 +8,6 @@
 #define SMART_COMPILER_SCHEDULE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "compiler/dag.hh"
@@ -51,14 +50,6 @@ struct SchedParams
     int prefetchIterations = 3;
     /** Disable the RANDOM array entirely (SuperNPU-style SPMs). */
     bool hasRandomArray = true;
-
-    /**
-     * Canonical memo-cache key covering every field the scheduler's
-     * output depends on, at full float precision. Two parameter sets
-     * with equal keys produce identical schedules; sweeps that mutate
-     * any field get distinct keys and cannot alias.
-     */
-    std::string cacheKey() const;
 };
 
 /**
@@ -99,8 +90,6 @@ struct Schedule
     /** Fraction of class-c accesses served from @p placement. */
     double servedFraction(const LayerDag &dag, ObjClass c,
                           Placement p) const;
-    /** Bytes staged RANDOM -> SHIFT over the layer. */
-    std::uint64_t stagedBytes(const LayerDag &dag) const;
     /** Bytes served straight from DRAM. */
     std::uint64_t dramBytes(const LayerDag &dag) const;
     /** Fraction of staged bytes hidden by prefetch. */

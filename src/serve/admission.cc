@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "accel/hash.hh"
 #include "serve/service.hh"
 
 namespace smart::serve
@@ -98,7 +99,7 @@ doomed(Path path, const CostEstimator &est, const std::string &shapeKey,
         return false; // disabled, or no budget to miss
     const bool greedy = path == Path::Greedy;
     const std::string greedyKey =
-        greedy ? shapeKey + "|greedy" : std::string();
+        greedy ? shapeKey + accel::kGreedyKeySuffix : std::string();
     const std::string &key = greedy ? greedyKey : shapeKey;
     // Each path is tightened by its own interval: the degraded path's
     // volatility is its own.

@@ -8,7 +8,6 @@
 #include "accel/hash.hh"
 #include "accel/perf.hh"
 #include "accel/serdes.hh"
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/taskgraph.hh"
 #include "common/tracespan.hh"
@@ -639,13 +638,13 @@ EvalService::serveWave(std::vector<Pending> &&wave)
     // in one wave share a single evaluation (coalescing).
     struct Group
     {
-        /** Cache/coalescing key: the canonical key, or its "|greedy"
-         *  twin for degraded groups. View into the wave key arena. */
-        std::string_view evalKey;
+        /** Cache/coalescing key: the canonical key, plus
+         *  accel::kGreedyKeySuffix for degraded groups. */
+        std::string evalKey;
         std::vector<Pending> members;
     };
     std::vector<Group> groups;
-    std::unordered_map<std::string_view, std::size_t> group_of;
+    std::unordered_map<std::string, std::size_t> group_of;
 
     auto resolveOk = [&](Pending &&p, const accel::InferenceResult &res,
                          bool cache_hit, bool coalesced) {
@@ -691,13 +690,13 @@ EvalService::serveWave(std::vector<Pending> &&wave)
 
     // A degrade-marked request is happily served by a cached OPTIMAL
     // result — strictly better quality at cache-hit cost — so its
-    // lookup tries the optimal key first, then its own "|greedy"
-    // twin. The reverse never holds: degraded results live under the
+    // lookup tries the optimal key first, then its own greedy twin.
+    // The reverse never holds: degraded results live under the
     // suffixed key and are invisible to full-quality requests. An L1
     // miss consults the persistent L2 (same key order); a decodable
     // L2 hit is promoted into the in-process cache under the key it
     // was found with.
-    auto cacheLookup = [&](const Pending &p, std::string_view evalKey,
+    auto cacheLookup = [&](const Pending &p, const std::string &evalKey,
                            accel::InferenceResult &out) {
         auto &rec = TraceRecorder::global();
         if (cache_.get(p.key, out) ||
@@ -705,61 +704,38 @@ EvalService::serveWave(std::vector<Pending> &&wave)
             rec.instant(p.traceId, "schedule_cache_hit");
             return true;
         }
-        if (!diskCache_)
-            return false;
-        const std::string_view keys[2] = {
-            p.key, p.degrade ? evalKey : std::string_view()};
-        for (std::string_view k : keys) {
-            if (k.empty())
-                continue;
+        auto l2Hit = [&](const std::string &k) {
             std::string bytes;
-            // The persistent L2 is a cold-path file store; it keeps
-            // its std::string API and pays one key copy per probe.
-            if (diskCache_->get(std::string(k), bytes) &&
-                accel::deserializeInferenceResult(bytes, out)) {
-                cache_.put(k, out, p.req.tag);
-                rec.instant(p.traceId, "schedule_l2_hit");
-                return true;
-            }
-        }
-        return false;
+            if (!diskCache_->get(k, bytes) ||
+                !accel::deserializeInferenceResult(bytes, out))
+                return false;
+            cache_.put(k, out, p.req.tag);
+            rec.instant(p.traceId, "schedule_l2_hit");
+            return true;
+        };
+        return diskCache_ &&
+               (l2Hit(p.key) || (p.degrade && l2Hit(evalKey)));
     };
 
-    // One wave-scoped arena owns every request's canonical key bytes:
-    // the key and its "|greedy" degraded twin are interned as a single
-    // contiguous block per request, so Pending::key, the eval key, and
-    // the coalescing-map keys are all views of the same bytes — one
-    // bump allocation per request where key construction previously
-    // cost a handful of string allocations (ROADMAP hot-path (c)).
-    // The scratch build buffer is reused across the wave, so its
-    // growth amortizes to zero steady-state allocations.
-    static constexpr std::string_view kGreedySuffix = "|greedy";
-    Arena keyArena;
-    std::string keyScratch;
-
     for (auto &p : wave) {
-        keyScratch.clear();
-        accel::appendRequestKey(keyScratch, p.req.cfg, p.req.model,
+        accel::appendRequestKey(p.key, p.req.cfg, p.req.model,
                                 p.req.batch);
-        const std::string_view block =
-            keyArena.intern2(keyScratch, kGreedySuffix);
-        p.key = block.substr(0, keyScratch.size());
         p.digest = accel::requestDigest(p.key);
         // Degraded evaluations are keyed (L1, L2, and coalescing
-        // groups) under the canonical key plus "|greedy", so the two
-        // paths never collide in the cache or share a wave item.
-        const std::string_view evalKey = p.degrade ? block : p.key;
+        // groups) under the canonical key plus the greedy suffix, so
+        // the two paths never collide in the cache or share a wave
+        // item.
+        std::string evalKey =
+            p.degrade ? p.key + accel::kGreedyKeySuffix : p.key;
         accel::InferenceResult cached;
         if (cacheLookup(p, evalKey, cached)) {
             resolveOk(std::move(p), cached, /*cache_hit=*/true,
                       /*coalesced=*/false);
             continue;
         }
-        auto [it, fresh] = group_of.emplace(evalKey, groups.size());
-        if (fresh) {
-            groups.emplace_back();
-            groups.back().evalKey = evalKey;
-        }
+        auto [it, fresh] = group_of.try_emplace(evalKey, groups.size());
+        if (fresh)
+            groups.push_back({std::move(evalKey), {}});
         groups[it->second].members.push_back(std::move(p));
     }
     if (groups.empty())
@@ -798,16 +774,16 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                 // Cache ownership and the cost sample both follow the
                 // group head; read its fields before resolveOk moves
                 // them into the response. Degraded groups write under
-                // the "|greedy" key and feed the greedy shape EWMA,
+                // the greedy key and feed the greedy shape EWMA,
                 // keeping both paths' cost models separate.
                 cache_.put(g.evalKey, res, head.req.tag);
                 if (diskCache_)
-                    diskCache_->put(std::string(g.evalKey),
+                    diskCache_->put(g.evalKey,
                                     accel::serializeInferenceResult(res));
                 estimator_.recordService(
                     accel::requestShapeKey(head.req.model,
                                            head.req.batch) +
-                        (head.degrade ? "|greedy" : ""),
+                        (head.degrade ? accel::kGreedyKeySuffix : ""),
                     msBetween(dispatch, Clock::now()));
                 bool first = true;
                 for (auto &p : g.members) {

@@ -31,22 +31,6 @@ TEST(MemObj, ClassNamesAreGreek)
     EXPECT_STREQ(objClassName(ObjClass::Psum), "delta");
 }
 
-TEST(Dag, NodeSequenceMatchesFig15)
-{
-    ConvLayer l = ConvLayer::conv("c", 14, 14, 64, 128, 1);
-    LayerDag dag = dagOf(l);
-    ASSERT_GE(dag.nodes.size(), 4u);
-    EXPECT_EQ(dag.nodes.front().kind, InstrKind::ReadHostMemory);
-    EXPECT_EQ(dag.nodes[1].kind, InstrKind::ReadWeights);
-    EXPECT_EQ(dag.nodes[2].kind, InstrKind::MatrixMultiply);
-    EXPECT_EQ(dag.nodes[dag.nodes.size() - 2].kind, InstrKind::Activate);
-    EXPECT_EQ(dag.nodes.back().kind, InstrKind::WriteHostMemory);
-    // Read_Host_Memory + alternating RW/MM per iteration + Activate +
-    // Write_Host_Memory.
-    EXPECT_EQ(dag.nodes.size(),
-              3u + 2u * static_cast<std::size_t>(dag.iterations));
-}
-
 TEST(Dag, IterationsBoundedByChunking)
 {
     ConvLayer big = ConvLayer::conv("c", 27, 27, 96, 256, 5, 1, 2);
@@ -102,14 +86,6 @@ TEST(Dag, CyclesPerIterationPositive)
     ConvLayer l = ConvLayer::conv("c", 27, 27, 96, 256, 5, 1, 2);
     LayerDag dag = dagOf(l);
     EXPECT_GT(dag.cyclesPerIteration, 0u);
-}
-
-TEST(Dag, InstrNamesMatchTpuIsa)
-{
-    EXPECT_STREQ(instrName(InstrKind::ReadWeights), "Read_Weights");
-    EXPECT_STREQ(instrName(InstrKind::MatrixMultiply),
-                 "Matrix_Multiply");
-    EXPECT_STREQ(instrName(InstrKind::Activate), "Activate");
 }
 
 } // namespace

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,13 +57,6 @@ makePending(serve::Priority pr, std::uint64_t seq,
                                std::chrono::duration<double, std::milli>(
                                    deadline_in_ms))
                      : Clock::time_point::max();
-    // Pending::key is a view into the dispatcher's wave arena in
-    // production; these queue-only tests intern their synthetic keys
-    // in a leaky store with stable addresses instead.
-    static std::deque<std::string> *key_store =
-        new std::deque<std::string>();
-    key_store->push_back("k" + std::to_string(seq));
-    p.key = key_store->back();
     return p;
 }
 

@@ -4,7 +4,8 @@
  * PR 1 ilp_cache under-keying fix): the serving cache key must be
  * deterministic — same request, same key, on any thread — and must
  * change whenever any result-relevant config, model, or batch field
- * changes, so distinct requests can never alias a cache line.
+ * changes, so distinct requests can never alias a cache line. The
+ * schedule memo key (accel::scheduleKey) gets the same guard.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,17 @@ TEST(RequestHash, EveryConfigFieldIsKeyed)
     }
 }
 
+TEST(RequestHash, AppendFormEqualsRequestKey)
+{
+    // The dispatcher appends into Pending::key; appending into a
+    // non-empty buffer must leave the prefix and add requestKey.
+    const auto cfg = baseCfg();
+    const auto model = baseModel();
+    std::string out = "prefix|";
+    accel::appendRequestKey(out, cfg, model, 4);
+    EXPECT_EQ(out, "prefix|" + accel::requestKey(cfg, model, 4));
+}
+
 TEST(RequestHash, ModelAndBatchAreKeyed)
 {
     const auto cfg = baseCfg();
@@ -159,6 +171,73 @@ TEST(RequestHash, DisplayNameIsNotKeyed)
     b.name = "renamed";
     EXPECT_EQ(accel::requestKey(a, model, 1),
               accel::requestKey(b, model, 1));
+}
+
+/** One schedule memo lookup's inputs. */
+struct SchedInputs
+{
+    systolic::ConvLayer layer =
+        systolic::ConvLayer::conv("conv3", 13, 13, 256, 384, 3);
+    systolic::ArrayDims pe{64, 256};
+    compiler::SchedParams sp;
+    accel::SchedMode mode = accel::SchedMode::Ilp;
+
+    std::string key() const
+    {
+        return accel::scheduleKey(layer, pe, accel::schedParamsKey(sp),
+                                  mode);
+    }
+};
+
+TEST(ScheduleKey, EveryScheduleInputIsKeyed)
+{
+    const std::string base = SchedInputs{}.key();
+
+    // One mutation per input the schedule depends on; each must change
+    // the memo key, or a sweep would reuse another point's schedule.
+    std::vector<std::function<void(SchedInputs &)>> mutations = {
+        [](auto &in) { in.layer.ifmapH += 1; },
+        [](auto &in) { in.layer.ifmapW += 1; },
+        [](auto &in) { in.layer.inChannels += 1; },
+        [](auto &in) { in.layer.filters += 1; },
+        [](auto &in) { in.layer.kernelH += 1; },
+        [](auto &in) { in.layer.kernelW += 1; },
+        [](auto &in) { in.layer.stride += 1; },
+        [](auto &in) { in.layer.pad += 1; },
+        [](auto &in) { in.layer.depthwise = !in.layer.depthwise; },
+        [](auto &in) { in.pe.rows += 1; },
+        [](auto &in) { in.pe.cols += 1; },
+        [](auto &in) { in.sp.shiftCapacityBytes += ByteCount{1}; },
+        [](auto &in) { in.sp.randomCapacityBytes += ByteCount{1}; },
+        [](auto &in) { in.sp.shiftCyclesPerAccess += 0.125; },
+        [](auto &in) { in.sp.randomCyclesPerAccess += 0.125; },
+        [](auto &in) { in.sp.dramCyclesPerAccess += 0.125; },
+        [](auto &in) { in.sp.hrBandwidthBytesPerCycle += 0.125; },
+        [](auto &in) { in.sp.dramBandwidthBytesPerCycle += 0.125; },
+        [](auto &in) { in.sp.prefetchIterations += 1; },
+        [](auto &in) { in.sp.hasRandomArray = !in.sp.hasRandomArray; },
+        [](auto &in) { in.mode = accel::SchedMode::Greedy; },
+    };
+
+    std::set<std::string> keys{base};
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        SchedInputs in;
+        mutations[i](in);
+        const std::string key = in.key();
+        EXPECT_NE(key, base) << "mutation " << i << " did not change key";
+        EXPECT_TRUE(keys.insert(key).second)
+            << "mutation " << i << " aliases another mutation";
+    }
+}
+
+TEST(ScheduleKey, LayerNameIsNotKeyed)
+{
+    // Repeated blocks (ResNet stages, MobileNet pairs) differ only in
+    // name and must share one solve.
+    SchedInputs a;
+    SchedInputs b;
+    b.layer.name = "conv4";
+    EXPECT_EQ(a.key(), b.key());
 }
 
 } // namespace
